@@ -19,14 +19,15 @@
 //! * [`MixPlanner`] — multi-service extension: one growth loop planning
 //!   tree and server→service partition jointly on the batched
 //!   incremental evaluator.
-//! * [`OnlinePlanner`] — bounded-disruption revision of a running plan,
-//!   single-service ([`OnlinePlanner::replan`]) or per-service demand
-//!   vectors ([`OnlinePlanner::replan_mix`]).
+//! * [`OnlinePlanner`] — bounded-disruption revision of a running plan
+//!   for per-service demand vectors ([`OnlinePlanner::replan_mix`]);
+//!   single-service revision ([`OnlinePlanner::replan`]) runs the same
+//!   round on a one-service mix.
 //! * [`revise`] — the unified revision entry point: the [`Revise`]
 //!   trait over which the autonomic control loop is generic, with the
 //!   budgeted [`OnlinePlanner`] and the unbounded [`Rebalancer`] as
-//!   backends, and the shared grow/reassign/convert-grow/shrink loop
-//!   skeleton all revision paths run on.
+//!   backends, and the grow/reassign/convert-grow/shrink loop skeleton
+//!   the online planner runs on.
 
 pub mod baselines;
 pub mod heuristic;
@@ -56,7 +57,8 @@ use adept_platform::Platform;
 use adept_workload::{ClientDemand, ServiceSpec};
 use std::fmt;
 
-/// How search-based planners evaluate candidate moves.
+/// How the [`HeuristicPlanner`] growth loop and the [`improve`] pass
+/// evaluate candidate moves.
 ///
 /// The default, [`EvalStrategy::Incremental`], probes each move through
 /// [`IncrementalEval`](crate::model::IncrementalEval) — an O(log n)
@@ -65,7 +67,9 @@ use std::fmt;
 /// ablation baseline so benchmarks (`planner_scaling`'s `eval_strategy`
 /// group) measure the speedup instead of asserting it. Both strategies
 /// commit the same moves, so the produced plans' throughputs agree to
-/// float-associativity (≤ 1e-9 relative).
+/// float-associativity (≤ 1e-9 relative). [`OnlinePlanner`] always
+/// probes incrementally; its clone-and-full-evaluate counterpart is a
+/// reference inside its tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalStrategy {
     /// O(log n) delta + undo probes on the incremental engine (default).

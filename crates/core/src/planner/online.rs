@@ -8,6 +8,8 @@
 //!
 //! * **grow** — attach an unused platform node as a server under the
 //!   least-loaded agent (1 change);
+//! * **reassign** — reinstall a server of a slack service for a starved
+//!   one (1 change, tree untouched; multi-service deployments only);
 //! * **shrink** — retire the weakest server (1 change; frees a machine
 //!   when demand dropped);
 //! * **convert-grow** — promote the strongest server to an agent and give
@@ -21,10 +23,11 @@
 //!
 //! The budgeted grow/reassign/convert-grow/shrink skeleton itself lives
 //! in [`revise`](super::revise) (the crate-private `drive` function over
-//! the `ReviseOps` move trait): the single-service
-//! incremental path, the mix path, and the full-clone ablation baseline
-//! are three `ReviseOps` implementations of the same loop, and the
-//! public [`Revise`](super::Revise) trait exposes this planner (and the
+//! the `ReviseOps` move trait). This module implements the moves once,
+//! on the batched [`IncrementalEval`]: a single-service
+//! [`replan`](OnlinePlanner::replan) is a one-service
+//! [`replan_mix`](OnlinePlanner::replan_mix) round. The public
+//! [`Revise`](super::Revise) trait exposes this planner (and the
 //! improver-backed [`Rebalancer`](super::Rebalancer)) behind one entry
 //! point for the autonomic control loop.
 
@@ -37,9 +40,7 @@ use super::mix::{
     AttachChoice, MixObjective,
 };
 use super::revise::{drive, ReviseOps};
-use super::EvalStrategy;
 use crate::model::mix::{MixReport, ServerAssignment};
-use crate::model::throughput::sch_pow;
 use crate::model::{IncrementalEval, ModelParams};
 use adept_hierarchy::{DeploymentPlan, PlanDiff, PlanError, Role, Slot};
 use adept_platform::{NodeId, Platform, SiteId};
@@ -95,12 +96,13 @@ struct WarmState {
 /// rounds, with hit/miss counters.
 ///
 /// Owned by the caller (the autonomic controller keeps one per loop)
-/// and passed to [`OnlinePlanner::replan_warm`] /
-/// [`OnlinePlanner::replan_mix_warm`], which seed their search from the
-/// incumbent [`IncrementalEval`] instead of rebuilding it from the plan
-/// — skipping the O(n) engine construction and O(n log n) spare-node
-/// scan on steady-state ticks. Warm state is a pure search accelerator:
-/// warm rounds return bit-identical answers to their cold counterparts.
+/// and passed to [`OnlinePlanner::replan_mix_warm`] (through
+/// [`Revise::revise_mix_warm`](super::Revise::revise_mix_warm)), which
+/// seeds its search from the incumbent [`IncrementalEval`] instead of
+/// rebuilding it from the plan — skipping the O(n) engine construction
+/// and O(n log n) spare-node scan on steady-state ticks. Warm state is a
+/// pure search accelerator: warm rounds return bit-identical answers to
+/// their cold counterparts.
 ///
 /// **Invalidation contract:** the fingerprint guarding reuse is a cheap
 /// O(S) sanity check (plan size, root, mix shares/Wapps), not a full
@@ -156,8 +158,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// O(S) fingerprint of a mix-revision input (deliberately *not* O(n):
 /// hashing the whole plan would cost what the warm start saves).
 fn mix_fingerprint(plan: &DeploymentPlan, mix: &ServiceMix, assignment: &ServerAssignment) -> u64 {
-    let mut h = fnv(FNV_OFFSET, 1); // domain tag: mix revision
-    h = fnv(h, plan.len() as u64);
+    let mut h = fnv(FNV_OFFSET, plan.len() as u64);
     h = fnv(h, plan.server_count() as u64);
     h = fnv(h, u64::from(plan.node(plan.root()).0));
     h = fnv(h, assignment.service_of.len() as u64);
@@ -169,30 +170,11 @@ fn mix_fingerprint(plan: &DeploymentPlan, mix: &ServiceMix, assignment: &ServerA
     h
 }
 
-/// O(1) fingerprint of a single-service revision input.
-fn single_fingerprint(plan: &DeploymentPlan, service: &ServiceSpec) -> u64 {
-    let mut h = fnv(FNV_OFFSET, 2); // domain tag: single-service revision
-    h = fnv(h, plan.len() as u64);
-    h = fnv(h, plan.server_count() as u64);
-    h = fnv(h, u64::from(plan.node(plan.root()).0));
-    h = fnv(h, service.wapp.value().to_bits());
-    h
-}
-
 /// Bit-pattern encoding of a demand vector (the memo key).
 fn mix_demand_bits(demand: &MixDemand) -> Vec<u64> {
     (0..demand.len())
         .map(|j| demand.rate(j).to_bits())
         .collect()
-}
-
-/// Bit-pattern encoding of a single-service demand (the memo key). The
-/// variant tag keeps `Unbounded` distinct from any finite target.
-fn single_demand_bits(demand: ClientDemand) -> Vec<u64> {
-    match demand {
-        ClientDemand::Unbounded => vec![0],
-        ClientDemand::Target(r) => vec![1, r.to_bits()],
-    }
 }
 
 /// Result of a re-planning round.
@@ -239,8 +221,6 @@ pub struct OnlinePlanner {
     pub max_changes: usize,
     /// Optional model-parameter override.
     pub params: Option<ModelParams>,
-    /// How candidate moves are evaluated (incremental by default).
-    pub eval_strategy: EvalStrategy,
 }
 
 impl Default for OnlinePlanner {
@@ -248,7 +228,6 @@ impl Default for OnlinePlanner {
         Self {
             max_changes: 4,
             params: None,
-            eval_strategy: EvalStrategy::default(),
         }
     }
 }
@@ -277,20 +256,6 @@ fn without_server(plan: &DeploymentPlan, victim: Slot) -> DeploymentPlan {
     rebuilt
 }
 
-/// The agent that keeps the highest scheduling power after receiving one
-/// more child.
-fn best_agent(params: &ModelParams, platform: &Platform, plan: &DeploymentPlan) -> Slot {
-    plan.agents()
-        .max_by(|&a, &b| {
-            let pa = sch_pow(params, platform.power(plan.node(a)), plan.degree(a) + 1);
-            let pb = sch_pow(params, platform.power(plan.node(b)), plan.degree(b) + 1);
-            pa.partial_cmp(&pb)
-                .expect("rates are finite")
-                .then(b.cmp(&a))
-        })
-        .expect("plans always contain the root agent")
-}
-
 /// Unused platform nodes, most powerful first.
 fn unused_by_power(platform: &Platform, plan: &DeploymentPlan) -> Vec<NodeId> {
     let used: HashSet<NodeId> = plan.slots().map(|s| plan.node(s)).collect();
@@ -301,147 +266,11 @@ fn unused_by_power(platform: &Platform, plan: &DeploymentPlan) -> Vec<NodeId> {
         .collect()
 }
 
-/// Working state of one single-service incremental revision round:
-/// delta+undo probing on the incremental engine, each candidate move
-/// costing O(log n) instead of an O(n) plan clone plus full
-/// re-evaluation. Commits mirror onto the running plan so the returned
-/// [`PlanDiff`] is identical to the full-clone path's.
-struct SingleIncOps<'a> {
-    params: ModelParams,
-    platform: &'a Platform,
-    service: &'a ServiceSpec,
-    demand: ClientDemand,
-    plan: DeploymentPlan,
-    eval: IncrementalEval,
-    rho: f64,
-    unused: Vec<NodeId>,
-    /// Moves committed this round. Zero means every probe was undone —
-    /// the engine still bit-equals its (cold-built) starting state.
-    commits: usize,
-}
-
-impl ReviseOps for SingleIncOps<'_> {
-    fn met(&self) -> bool {
-        self.demand.satisfied_by(self.rho)
-    }
-
-    fn grow(&mut self) -> Option<usize> {
-        let candidates = grow_candidates(self.platform, &self.unused, self.eval.is_site_aware());
-        let mut best: Option<(f64, NodeId, Slot)> = None;
-        for &fresh in &candidates {
-            let agent = best_attach_agent_in_eval_for(
-                &self.params,
-                &self.eval,
-                self.platform.site_of(fresh),
-            );
-            self.eval
-                .add_server(agent, fresh, self.platform.power(fresh))
-                .expect("unused node under an agent inserts");
-            let r = self.eval.rho();
-            self.eval.undo();
-            if r > self.rho * (1.0 + EPS) && best.is_none_or(|(br, _, _)| r > br) {
-                best = Some((r, fresh, agent));
-            }
-        }
-        let (r, fresh, agent) = best?;
-        self.eval
-            .add_server(agent, fresh, self.platform.power(fresh))
-            .expect("probe just applied cleanly");
-        self.plan
-            .add_server(agent, fresh)
-            .expect("unused node under an agent inserts");
-        self.eval.commit();
-        self.rho = r;
-        self.unused.retain(|&n| n != fresh);
-        self.commits += 1;
-        Some(1)
-    }
-
-    fn convert_grow(&mut self) -> Option<usize> {
-        // Promote the strongest server, attach the best spare under it.
-        if self.plan.server_count() < 2 || self.unused.is_empty() {
-            return None;
-        }
-        let candidates = grow_candidates(self.platform, &self.unused, self.eval.is_site_aware());
-        let victim = self
-            .plan
-            .servers()
-            .max_by(|&a, &b| {
-                let pa = self.platform.power(self.plan.node(a)).value();
-                let pb = self.platform.power(self.plan.node(b)).value();
-                pa.partial_cmp(&pb).expect("finite").then(b.cmp(&a))
-            })
-            .expect("server_count >= 2");
-        self.eval
-            .promote_to_agent(victim)
-            .expect("victim is a server");
-        let mut best: Option<(f64, NodeId)> = None;
-        for &fresh in &candidates {
-            self.eval
-                .add_server(victim, fresh, self.platform.power(fresh))
-                .expect("unused node under the new agent inserts");
-            let r = self.eval.rho();
-            self.eval.undo();
-            if r > self.rho * (1.0 + EPS) && best.is_none_or(|(br, _)| r > br) {
-                best = Some((r, fresh));
-            }
-        }
-        let Some((r, fresh)) = best else {
-            self.eval.undo(); // retract the promotion
-            return None;
-        };
-        self.eval
-            .add_server(victim, fresh, self.platform.power(fresh))
-            .expect("probe just applied cleanly");
-        self.plan
-            .convert_to_agent(victim)
-            .expect("victim is a server");
-        self.plan
-            .add_server(victim, fresh)
-            .expect("unused node under the new agent inserts");
-        self.eval.commit();
-        self.rho = r;
-        self.unused.retain(|&n| n != fresh);
-        self.commits += 1;
-        Some(2)
-    }
-
-    fn shrink(&mut self) -> Option<usize> {
-        // Retire the weakest server if the demand stays met without it.
-        if self.plan.server_count() < 2 {
-            return None;
-        }
-        let victim = self
-            .plan
-            .servers()
-            .min_by(|&a, &b| {
-                let pa = self.platform.power(self.plan.node(a)).value();
-                let pb = self.platform.power(self.plan.node(b)).value();
-                pa.partial_cmp(&pb).expect("finite").then(a.cmp(&b))
-            })
-            .expect("server_count >= 2");
-        self.eval.remove_server(victim).expect("victim is a server");
-        let r = self.eval.rho();
-        if !self.demand.satisfied_by(r) {
-            self.eval.undo();
-            return None;
-        }
-        self.unused.push(self.plan.node(victim));
-        self.plan = without_server(&self.plan, victim);
-        // Committing a removal compacts the plan's slots, so the mirror
-        // is rebuilt to stay index-aligned (rare: at most `max_changes`
-        // times per round).
-        self.eval =
-            IncrementalEval::from_plan(&self.params, self.platform, &self.plan, self.service);
-        self.rho = self.eval.rho();
-        self.commits += 1;
-        Some(1)
-    }
-}
-
-/// Working state of one multi-service revision round on the batched
-/// evaluator: shared scheduling phase, per-service Eq. 15 sums, so a
-/// probe costs O(log n + S) regardless of the mix size.
+/// Working state of one revision round on the batched evaluator: shared
+/// scheduling phase, per-service Eq. 15 sums, so a probe costs
+/// O(log n + S) regardless of the mix size. Commits mirror onto the
+/// running plan and assignment so the round's [`PlanDiff`] and
+/// reassignments describe exactly what changed.
 struct MixOps<'a> {
     params: ModelParams,
     platform: &'a Platform,
@@ -587,11 +416,13 @@ impl ReviseOps for MixOps<'_> {
             .promote_to_agent(victim)
             .expect("victim is a server");
         let grow = grow_candidates(self.platform, &self.unused, self.eval.is_site_aware());
-        let svc_min = normalized_service_min(&self.eval, &self.divisors);
+        // Strict gain only, unlike `grow`'s plateau rule: the promotion
+        // took a server away, so an attach that merely hands it back
+        // would spend two changes and a machine on the same margin.
         let mut best: Option<(AttachChoice, NodeId)> = None;
         for &fresh in &grow {
             let choice = self.probe_attach(victim, fresh);
-            if accept_growth(MixObjective::WeightedMin, &choice, self.current, svc_min)
+            if choice.score > self.current * (1.0 + EPS)
                 && best
                     .as_ref()
                     .is_none_or(|(b, _)| choice.score > b.score * (1.0 + EPS))
@@ -662,102 +493,6 @@ impl ReviseOps for MixOps<'_> {
     }
 }
 
-/// Working state of the pre-incremental clone+full-eval round (ablation
-/// baseline).
-struct SingleFullOps<'a> {
-    params: ModelParams,
-    platform: &'a Platform,
-    service: &'a ServiceSpec,
-    demand: ClientDemand,
-    plan: DeploymentPlan,
-    rho: f64,
-    unused: Vec<NodeId>,
-}
-
-impl SingleFullOps<'_> {
-    fn evaluate(&self, p: &DeploymentPlan) -> f64 {
-        self.params.evaluate(self.platform, p, self.service).rho
-    }
-}
-
-impl ReviseOps for SingleFullOps<'_> {
-    fn met(&self) -> bool {
-        self.demand.satisfied_by(self.rho)
-    }
-
-    fn grow(&mut self) -> Option<usize> {
-        let &fresh = self.unused.first()?;
-        let mut p = self.plan.clone();
-        p.add_server(best_agent(&self.params, self.platform, &p), fresh)
-            .expect("unused node under an agent inserts");
-        let r = self.evaluate(&p);
-        if r > self.rho * (1.0 + EPS) {
-            self.plan = p;
-            self.rho = r;
-            self.unused.retain(|&n| n != fresh);
-            Some(1)
-        } else {
-            None
-        }
-    }
-
-    fn convert_grow(&mut self) -> Option<usize> {
-        // Promote the strongest server, attach a fresh node under it.
-        if self.plan.server_count() < 2 || self.unused.is_empty() {
-            return None;
-        }
-        let victim = self
-            .plan
-            .servers()
-            .max_by(|&a, &b| {
-                let pa = self.platform.power(self.plan.node(a)).value();
-                let pb = self.platform.power(self.plan.node(b)).value();
-                pa.partial_cmp(&pb).expect("finite").then(b.cmp(&a))
-            })
-            .expect("server_count >= 2");
-        let fresh = self.unused[0];
-        let mut p = self.plan.clone();
-        p.convert_to_agent(victim).expect("victim is a server");
-        p.add_server(victim, fresh)
-            .expect("unused node under the new agent inserts");
-        let r = self.evaluate(&p);
-        if r > self.rho * (1.0 + EPS) {
-            self.plan = p;
-            self.rho = r;
-            self.unused.remove(0);
-            Some(2)
-        } else {
-            None
-        }
-    }
-
-    fn shrink(&mut self) -> Option<usize> {
-        // Retire the weakest server if the demand stays met without it.
-        if self.plan.server_count() < 2 {
-            return None;
-        }
-        let victim = self
-            .plan
-            .servers()
-            .min_by(|&a, &b| {
-                let pa = self.platform.power(self.plan.node(a)).value();
-                let pb = self.platform.power(self.plan.node(b)).value();
-                pa.partial_cmp(&pb).expect("finite").then(a.cmp(&b))
-            })
-            .expect("server_count >= 2");
-        let p = without_server(&self.plan, victim);
-        let r = self.evaluate(&p);
-        if self.demand.satisfied_by(r) {
-            self.unused.push(self.plan.node(victim));
-            self.plan = p;
-            self.rho = r;
-            Some(1)
-        } else {
-            None
-        }
-    }
-}
-
 impl OnlinePlanner {
     /// Revises a running plan for the (possibly changed) demand, spending
     /// at most [`max_changes`](OnlinePlanner::max_changes) node changes.
@@ -765,7 +500,13 @@ impl OnlinePlanner {
     /// Growth moves are taken while the plan misses the demand and
     /// improves; with the demand already met, shrink moves retire servers
     /// as long as the demand *stays* met (the paper's least-resources
-    /// preference, applied online).
+    /// preference, applied online). The round is a
+    /// [`replan_mix`](OnlinePlanner::replan_mix) round on the one-service
+    /// mix of `service`, every running server hosting it.
+    ///
+    /// # Panics
+    /// Panics on a [`ClientDemand::Target`] rate that is negative or NaN
+    /// (see [`MixDemand::targets`]).
     pub fn replan(
         &self,
         platform: &Platform,
@@ -773,149 +514,36 @@ impl OnlinePlanner {
         service: &ServiceSpec,
         demand: ClientDemand,
     ) -> Replan {
-        match self.eval_strategy {
-            EvalStrategy::Incremental => {
-                self.replan_incremental(platform, running, service, demand)
-            }
-            EvalStrategy::FullClone => self.replan_full(platform, running, service, demand),
-        }
-    }
-
-    /// Delta+undo probing on the incremental engine (see
-    /// [`SingleIncOps`]).
-    fn replan_incremental(
-        &self,
-        platform: &Platform,
-        running: &DeploymentPlan,
-        service: &ServiceSpec,
-        demand: ClientDemand,
-    ) -> Replan {
         let params = super::resolve_params(self.params, platform);
+        let assignment = ServerAssignment {
+            service_of: running.servers().map(|s| (running.node(s), 0)).collect(),
+        };
+        // The single-service engine is the one-service mix engine, built
+        // without looking each server up in the assignment.
         let eval = IncrementalEval::from_plan(&params, platform, running, service);
-        let unused = unused_by_power(platform, running);
-        self.single_round(platform, running, service, demand, params, eval, unused)
-            .0
-    }
-
-    /// One single-service revision round from a given engine + spare
-    /// list (cold-built or warm); returns the result together with the
-    /// post-round engine state and whether the round committed nothing.
-    #[allow(clippy::too_many_arguments)] // the round takes the whole warm/cold seed
-    fn single_round(
-        &self,
-        platform: &Platform,
-        running: &DeploymentPlan,
-        service: &ServiceSpec,
-        demand: ClientDemand,
-        params: ModelParams,
-        eval: IncrementalEval,
-        unused: Vec<NodeId>,
-    ) -> (Replan, IncrementalEval, Vec<NodeId>, bool) {
-        let rho = eval.rho();
-        let mut ops = SingleIncOps {
-            params,
+        let (round, ..) = self.mix_round(
             platform,
-            service,
-            demand,
-            plan: running.clone(),
+            running,
+            &ServiceMix::single(service.clone()),
+            &assignment,
+            &MixDemand::targets(vec![demand.rate()]),
+            params,
             eval,
-            rho,
-            unused,
-            commits: 0,
-        };
-        drive(&mut ops, self.max_changes);
-        let SingleIncOps {
-            plan,
-            eval,
-            rho,
-            unused,
-            commits,
-            ..
-        } = ops;
-        let diff = if commits == 0 {
-            PlanDiff::default()
-        } else {
-            PlanDiff::between(running, &plan)
-        };
-        (Replan { plan, diff, rho }, eval, unused, commits == 0)
-    }
-
-    /// [`replan`](OnlinePlanner::replan) with engine-state reuse across
-    /// rounds: when `warm` holds the state of a previous zero-commit
-    /// round over the same plan and service, the search seeds from that
-    /// [`IncrementalEval`] instead of rebuilding it — and a round whose
-    /// demand bit-equals that round's replays its no-change outcome in
-    /// O(1). The answer is bit-identical to a cold
-    /// [`replan`](OnlinePlanner::replan) either way; see [`WarmCache`]
-    /// for the invalidation contract. Only the incremental strategy can
-    /// run warm — the full-clone ablation invalidates and delegates.
-    pub fn replan_warm(
-        &self,
-        platform: &Platform,
-        running: &DeploymentPlan,
-        service: &ServiceSpec,
-        demand: ClientDemand,
-        warm: &mut WarmCache,
-    ) -> Replan {
-        if self.eval_strategy != EvalStrategy::Incremental {
-            warm.invalidate();
-            return self.replan(platform, running, service, demand);
+            unused_by_power(platform, running),
+        );
+        Replan {
+            plan: round.plan,
+            diff: round.diff,
+            rho: round.report.rho,
         }
-        let params = super::resolve_params(self.params, platform);
-        let fingerprint = single_fingerprint(running, service);
-        let demand_bits = single_demand_bits(demand);
-        let seed = match warm.state.take() {
-            Some(s) if s.fingerprint == fingerprint => {
-                warm.hits += 1;
-                Some(s)
-            }
-            _ => {
-                warm.misses += 1;
-                None
-            }
-        };
-        let (eval, unused) = match seed {
-            Some(s) => {
-                if s.demand_bits == demand_bits && s.budget == self.max_changes {
-                    // Steady state: identical inputs replay the stored
-                    // round's no-change outcome — answer without
-                    // re-driving the search.
-                    let rho = s.eval.rho();
-                    warm.state = Some(s);
-                    return Replan {
-                        plan: running.clone(),
-                        diff: PlanDiff::default(),
-                        rho,
-                    };
-                }
-                (s.eval, s.unused)
-            }
-            None => (
-                IncrementalEval::from_plan(&params, platform, running, service),
-                unused_by_power(platform, running),
-            ),
-        };
-        let (replan, eval, unused, quiescent) =
-            self.single_round(platform, running, service, demand, params, eval, unused);
-        if quiescent {
-            warm.state = Some(WarmState {
-                eval,
-                unused,
-                fingerprint,
-                demand_bits,
-                budget: self.max_changes,
-            });
-        }
-        replan
     }
 
     /// Revises a running **multi-service** deployment for a per-service
     /// demand vector, spending at most
-    /// [`max_changes`](OnlinePlanner::max_changes) node changes — the mix
-    /// counterpart of [`replan`](OnlinePlanner::replan), probing every
-    /// move through one batched [`IncrementalEval`] (shared scheduling
-    /// phase, per-service Eq. 15 sums) so a probe costs O(log n + S)
-    /// regardless of the mix size.
+    /// [`max_changes`](OnlinePlanner::max_changes) node changes, probing
+    /// every move through one batched [`IncrementalEval`] (shared
+    /// scheduling phase, per-service Eq. 15 sums) so a probe costs
+    /// O(log n + S) regardless of the mix size.
     ///
     /// While the demand is unmet, growth moves attach an unused node as a
     /// server of whichever service most improves the demand-satisfaction
@@ -923,10 +551,10 @@ impl OnlinePlanner {
     /// any unbounded entry, the completed-mix rate); when no spare node
     /// helps, a **reassignment** reinstalls a server of a slack service
     /// for a starved one (1 change, tree untouched), and a convert-grow
-    /// (2 changes) opens a level when attachment stalls. With the demand
-    /// met, shrink moves retire the weakest server whose removal keeps
-    /// every service covered (the least-resources preference, applied
-    /// per service).
+    /// (2 changes) opens a level when attachment stalls and strictly
+    /// raises the margin. With the demand met, shrink moves retire the
+    /// weakest server whose removal keeps every service covered (the
+    /// least-resources preference, applied per service).
     ///
     /// # Errors
     /// [`PlanError`] when `assignment` does not cover the running plan's
@@ -972,12 +600,12 @@ impl OnlinePlanner {
         // (zero = that component never binds) plus a scheduling divisor.
         // Any unbounded entry falls back to the mix shares with a unit
         // scheduling divisor — the margin is then the completed-mix rate
-        // itself, mirroring the single-service unbounded replan; with
-        // finite targets the margin is the smallest satisfaction ratio,
-        // so strictly increasing it always moves toward
-        // `demand.satisfied_by`. One shared machinery
-        // (`normalized_min` / `best_attach_normalized` / `accept_growth`)
-        // then drives offline planning and online revision alike.
+        // itself (a one-service mix's plain ρ); with finite targets the
+        // margin is the smallest satisfaction ratio, so strictly
+        // increasing it always moves toward `demand.satisfied_by`. One
+        // shared machinery (`normalized_min` / `best_attach_normalized` /
+        // `accept_growth`) then drives offline planning and online
+        // revision alike.
         let (divisors, sched_divisor): (Vec<f64>, f64) = if demand.any_unbounded() {
             ((0..mix.len()).map(|j| mix.share(j)).collect(), 1.0)
         } else {
@@ -1044,9 +672,7 @@ impl OnlinePlanner {
     /// demand vector bit-equals that round's replays its no-change
     /// outcome in O(S). The answer is bit-identical to a cold
     /// [`replan_mix`](OnlinePlanner::replan_mix) either way; see
-    /// [`WarmCache`] for the invalidation contract. Only the
-    /// incremental strategy can run warm — the full-clone ablation
-    /// invalidates and delegates.
+    /// [`WarmCache`] for the invalidation contract.
     ///
     /// # Errors
     /// [`PlanError`] when `assignment` does not cover the running
@@ -1063,10 +689,6 @@ impl OnlinePlanner {
         demand: &MixDemand,
         warm: &mut WarmCache,
     ) -> Result<MixReplan, PlanError> {
-        if self.eval_strategy != EvalStrategy::Incremental {
-            warm.invalidate();
-            return self.replan_mix(platform, running, mix, assignment, demand);
-        }
         assert_eq!(demand.len(), mix.len(), "one demand entry per mix service");
         let params = super::resolve_params(self.params, platform);
         let fingerprint = mix_fingerprint(running, mix, assignment);
@@ -1118,42 +740,14 @@ impl OnlinePlanner {
         }
         Ok(replan)
     }
-
-    /// The pre-incremental clone+full-eval probing (ablation baseline).
-    fn replan_full(
-        &self,
-        platform: &Platform,
-        running: &DeploymentPlan,
-        service: &ServiceSpec,
-        demand: ClientDemand,
-    ) -> Replan {
-        let params = super::resolve_params(self.params, platform);
-        let plan = running.clone();
-        let rho = params.evaluate(platform, &plan, service).rho;
-        let unused = unused_by_power(platform, &plan);
-        let mut ops = SingleFullOps {
-            params,
-            platform,
-            service,
-            demand,
-            plan,
-            rho,
-            unused,
-        };
-        drive(&mut ops, self.max_changes);
-        let diff = PlanDiff::between(running, &ops.plan);
-        Replan {
-            plan: ops.plan,
-            diff,
-            rho: ops.rho,
-        }
-    }
 }
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{HeuristicPlanner, Planner};
-    use adept_platform::generator::lyon_cluster;
+    use crate::model::throughput::sch_pow;
+    use crate::planner::{BalancedPlanner, HeuristicPlanner, Planner};
+    use adept_platform::generator::{heterogenized_cluster, lyon_cluster};
+    use adept_platform::{BackgroundLoad, CapacityProbe, MflopRate};
     use adept_workload::Dgemm;
 
     fn rho_of(platform: &Platform, plan: &DeploymentPlan, svc: &ServiceSpec) -> f64 {
@@ -1269,38 +863,214 @@ mod tests {
         assert!(replan.rho >= rho_of(&platform, &plan, &svc) - 1e-9);
     }
 
+    /// The agent that keeps the highest scheduling power after receiving
+    /// one more child.
+    fn best_agent(params: &ModelParams, platform: &Platform, plan: &DeploymentPlan) -> Slot {
+        plan.agents()
+            .max_by(|&a, &b| {
+                let pa = sch_pow(params, platform.power(plan.node(a)), plan.degree(a) + 1);
+                let pb = sch_pow(params, platform.power(plan.node(b)), plan.degree(b) + 1);
+                pa.partial_cmp(&pb)
+                    .expect("rates are finite")
+                    .then(b.cmp(&a))
+            })
+            .expect("plans always contain the root agent")
+    }
+
+    /// The clone-and-full-evaluate reference reviser: the same budgeted
+    /// skeleton as [`OnlinePlanner::replan`], every probe an O(n) plan
+    /// clone plus a full Eq. 16 evaluation. Single-service and
+    /// site-blind by design.
+    struct SingleFullOps<'a> {
+        params: ModelParams,
+        platform: &'a Platform,
+        service: &'a ServiceSpec,
+        demand: ClientDemand,
+        plan: DeploymentPlan,
+        rho: f64,
+        unused: Vec<NodeId>,
+    }
+
+    impl SingleFullOps<'_> {
+        fn evaluate(&self, p: &DeploymentPlan) -> f64 {
+            self.params.evaluate(self.platform, p, self.service).rho
+        }
+    }
+
+    impl ReviseOps for SingleFullOps<'_> {
+        fn met(&self) -> bool {
+            self.demand.satisfied_by(self.rho)
+        }
+
+        fn grow(&mut self) -> Option<usize> {
+            let &fresh = self.unused.first()?;
+            let mut p = self.plan.clone();
+            p.add_server(best_agent(&self.params, self.platform, &p), fresh)
+                .expect("unused node under an agent inserts");
+            let r = self.evaluate(&p);
+            if r > self.rho * (1.0 + EPS) {
+                self.plan = p;
+                self.rho = r;
+                self.unused.retain(|&n| n != fresh);
+                Some(1)
+            } else {
+                None
+            }
+        }
+
+        fn convert_grow(&mut self) -> Option<usize> {
+            // Promote the strongest server, attach a fresh node under it.
+            if self.plan.server_count() < 2 || self.unused.is_empty() {
+                return None;
+            }
+            let victim = self
+                .plan
+                .servers()
+                .max_by(|&a, &b| {
+                    let pa = self.platform.power(self.plan.node(a)).value();
+                    let pb = self.platform.power(self.plan.node(b)).value();
+                    pa.partial_cmp(&pb).expect("finite").then(b.cmp(&a))
+                })
+                .expect("server_count >= 2");
+            let fresh = self.unused[0];
+            let mut p = self.plan.clone();
+            p.convert_to_agent(victim).expect("victim is a server");
+            p.add_server(victim, fresh)
+                .expect("unused node under the new agent inserts");
+            let r = self.evaluate(&p);
+            if r > self.rho * (1.0 + EPS) {
+                self.plan = p;
+                self.rho = r;
+                self.unused.remove(0);
+                Some(2)
+            } else {
+                None
+            }
+        }
+
+        fn shrink(&mut self) -> Option<usize> {
+            // Retire the weakest server if the demand stays met without it.
+            if self.plan.server_count() < 2 {
+                return None;
+            }
+            let victim = self
+                .plan
+                .servers()
+                .min_by(|&a, &b| {
+                    let pa = self.platform.power(self.plan.node(a)).value();
+                    let pb = self.platform.power(self.plan.node(b)).value();
+                    pa.partial_cmp(&pb).expect("finite").then(a.cmp(&b))
+                })
+                .expect("server_count >= 2");
+            let p = without_server(&self.plan, victim);
+            let r = self.evaluate(&p);
+            if self.demand.satisfied_by(r) {
+                self.unused.push(self.plan.node(victim));
+                self.plan = p;
+                self.rho = r;
+                Some(1)
+            } else {
+                None
+            }
+        }
+    }
+
+    /// Runs the reference reviser for one round under `max_changes`.
+    fn replan_full(
+        platform: &Platform,
+        running: &DeploymentPlan,
+        service: &ServiceSpec,
+        demand: ClientDemand,
+        max_changes: usize,
+    ) -> Replan {
+        let params = ModelParams::from_platform(platform);
+        let mut ops = SingleFullOps {
+            params,
+            platform,
+            service,
+            demand,
+            plan: running.clone(),
+            rho: params.evaluate(platform, running, service).rho,
+            unused: unused_by_power(platform, running),
+        };
+        drive(&mut ops, max_changes);
+        Replan {
+            diff: PlanDiff::between(running, &ops.plan),
+            plan: ops.plan,
+            rho: ops.rho,
+        }
+    }
+
     #[test]
     fn replan_strategies_produce_identical_diffs() {
-        let platform = lyon_cluster(40);
-        let svc = Dgemm::new(1000).service();
-        let plan = running(&platform, &svc, 2.0);
-        let base = rho_of(&platform, &plan, &svc);
-        // Grow, shrink, and convert-grow regimes.
-        for target in [base * 2.0, base * 0.4, 1e9] {
-            let inc = OnlinePlanner {
-                max_changes: 6,
-                ..Default::default()
+        // The production reviser (a one-service mix round on the
+        // incremental engine) against the reference, over grow, shrink
+        // and convert-grow regimes on uniform-network platforms. Grids
+        // stay out: the reference is site-blind by design.
+        let mut platforms: Vec<Platform> = [12, 20, 40, 64].map(lyon_cluster).into();
+        for n in [30, 48, 60, 80, 120] {
+            platforms.push(heterogenized_cluster(
+                "orsay",
+                n,
+                MflopRate(400.0),
+                BackgroundLoad::default(),
+                CapacityProbe::exact(),
+                7,
+            ));
+        }
+        for platform in &platforms {
+            for size in [10, 100, 310, 1000] {
+                let svc = Dgemm::new(size).service();
+                let heuristic = |demand| {
+                    HeuristicPlanner::paper()
+                        .plan(platform, &svc, demand)
+                        .expect("fits")
+                };
+                let plans = [
+                    ("heuristic@0.5", heuristic(ClientDemand::target(0.5))),
+                    ("heuristic@2", heuristic(ClientDemand::target(2.0))),
+                    ("heuristic@unbounded", heuristic(ClientDemand::Unbounded)),
+                    (
+                        "balanced/3",
+                        BalancedPlanner { mid_agents: 3 }
+                            .plan(platform, &svc, ClientDemand::Unbounded)
+                            .expect("fits"),
+                    ),
+                ];
+                for (plan_name, plan) in &plans {
+                    let base = rho_of(platform, plan, &svc);
+                    let factors = [0.1, 0.3, 0.6, 0.95, 1.05, 1.5, 2.5, 5.0].map(Some);
+                    for factor in factors.into_iter().chain([None]) {
+                        let demand = factor
+                            .map_or(ClientDemand::Unbounded, |f| ClientDemand::target(f * base));
+                        for max_changes in [1, 2, 4, 8] {
+                            let case = format!(
+                                "{} nodes, dgemm {size}, {plan_name}, {demand:?}, budget {max_changes}",
+                                platform.node_count()
+                            );
+                            let inc = OnlinePlanner {
+                                max_changes,
+                                ..Default::default()
+                            }
+                            .replan(platform, plan, &svc, demand);
+                            let full = replan_full(platform, plan, &svc, demand, max_changes);
+                            assert!(
+                                inc.plan.structurally_eq(&full.plan),
+                                "{case}: plans diverged\n{}\nvs\n{}",
+                                inc.plan.render(),
+                                full.plan.render()
+                            );
+                            assert!(
+                                (inc.rho - full.rho).abs() <= 1e-9 * full.rho.max(1.0),
+                                "{case}: rho {} vs {}",
+                                inc.rho,
+                                full.rho
+                            );
+                            assert_eq!(inc.diff.len(), full.diff.len(), "{case}");
+                        }
+                    }
+                }
             }
-            .replan(&platform, &plan, &svc, ClientDemand::target(target));
-            let full = OnlinePlanner {
-                max_changes: 6,
-                eval_strategy: EvalStrategy::FullClone,
-                ..Default::default()
-            }
-            .replan(&platform, &plan, &svc, ClientDemand::target(target));
-            assert!(
-                inc.plan.structurally_eq(&full.plan),
-                "target {target}: plans diverged\n{}\nvs\n{}",
-                inc.plan.render(),
-                full.plan.render()
-            );
-            assert!(
-                (inc.rho - full.rho).abs() <= 1e-9 * full.rho.max(1.0),
-                "target {target}: rho {} vs {}",
-                inc.rho,
-                full.rho
-            );
-            assert_eq!(inc.diff.len(), full.diff.len());
         }
     }
 
@@ -1480,6 +1250,53 @@ mod tests {
                     "unexpected non-removal change of {node}: {change:?}"
                 );
             }
+        }
+
+        #[test]
+        fn convert_grow_needs_a_strict_margin_gain() {
+            // Demand 5% above what the planned mix serves on a 2-site
+            // grid: no spare node raises the binding margin. A
+            // convert-grow whose attach only hands back the promoted
+            // server leaves the margin bit-identical and must not spend
+            // two changes and a machine on it.
+            let platform = adept_platform::generator::multi_site_grid(
+                2,
+                20,
+                MflopRate(400.0),
+                adept_platform::MbitRate(100.0),
+                adept_platform::MbitRate(5.0),
+                11,
+            );
+            let mix = ServiceMix::new(vec![
+                (Dgemm::new(100).service(), 2.0),
+                (Dgemm::new(310).service(), 1.0),
+                (Dgemm::new(1000).service(), 1.0),
+            ]);
+            let got = MixPlanner::default()
+                .plan_mix(&platform, &mix, &MixDemand::targets(vec![2.0; 3]))
+                .expect("fits");
+            let rates: Vec<f64> = got.report.rho_service.iter().map(|r| r * 1.05).collect();
+            let demand = MixDemand::targets(rates.clone());
+            let margin = |report: &MixReport| {
+                let sched = report.rho_sched / rates.iter().sum::<f64>();
+                rates
+                    .iter()
+                    .zip(&report.rho_service)
+                    .fold(sched, |m, (d, r)| m.min(r / d))
+            };
+            let replan = OnlinePlanner {
+                max_changes: 4,
+                ..Default::default()
+            }
+            .replan_mix(&platform, &got.plan, &mix, &got.assignment, &demand)
+            .unwrap();
+            let (before, after) = (margin(&got.report), margin(&replan.report));
+            assert!(
+                after > before * (1.0 + EPS) || replan.changes() == 0,
+                "{} changes for margin {before} -> {after}\n{}",
+                replan.changes(),
+                replan.diff
+            );
         }
 
         #[test]

@@ -1,13 +1,13 @@
 //! The unified revision entry point.
 //!
-//! Three code paths revise a *running* deployment: the budgeted online
-//! replanner (single-service and mix), and the improver's
-//! unbounded-disruption rebalance. They used to triplicate the same
-//! grow / reassign / convert-grow / shrink probe loop; the skeleton now
-//! lives here once (the crate-private `drive` function over the
-//! `ReviseOps` move trait), and the public [`Revise`] trait gives callers — most importantly the autonomic
-//! controller in `adept-control` — one entry point to swap revision
-//! backends behind:
+//! Two code paths revise a *running* deployment: the budgeted online
+//! replanner, whose single-service round is a one-service mix round,
+//! and the improver's unbounded-disruption rebalance. The online
+//! replanner's grow / reassign / convert-grow / shrink probe loop lives
+//! here (the crate-private `drive` function over the `ReviseOps` move
+//! trait), and the public [`Revise`] trait gives callers — most
+//! importantly the autonomic controller in `adept-control` — one entry
+//! point to swap revision backends behind:
 //!
 //! * [`OnlinePlanner`](super::OnlinePlanner) — incremental revision
 //!   under a disruption budget (the default for live traffic);

@@ -682,12 +682,14 @@ fn demand_walk(rng: &mut StdRng, steps: usize, lo: f64, hi: f64) -> Vec<f64> {
 #[test]
 fn warm_replan_matches_cold_replan_on_randomized_demand_walks() {
     // The warm-started reviser must be a pure acceleration: at every
-    // step of a randomized demand walk, `replan_warm` (persistent
+    // step of a randomized demand walk, a warm revision (persistent
     // engine state threaded across calls) and a cold `replan` of the
-    // same incumbent must produce the same plan and bit-equal ρ. The
-    // walk adopts the warm result, so any divergence would compound —
-    // and the warm path must actually engage (hits > 0), or the test
-    // would only be comparing cold to cold.
+    // same incumbent must produce the same plan and bit-equal ρ.
+    // Single-service `replan` is a one-service mix round, so the warm
+    // side is `replan_mix_warm` on that mix. The walk adopts the warm
+    // result, so any divergence would compound — and the warm path must
+    // actually engage (hits > 0), or the test would only be comparing
+    // cold to cold.
     for (size, seed) in [(30usize, 7u64), (48, 21)] {
         let platform = generator::heterogenized_cluster(
             "orsay",
@@ -698,6 +700,7 @@ fn warm_replan_matches_cold_replan_on_randomized_demand_walks() {
             seed,
         );
         let service = Dgemm::new(310).service();
+        let mix = ServiceMix::single(service.clone());
         let planner = OnlinePlanner {
             max_changes: 6,
             ..Default::default()
@@ -705,6 +708,9 @@ fn warm_replan_matches_cold_replan_on_randomized_demand_walks() {
         let mut running = HeuristicPlanner::paper()
             .plan(&platform, &service, ClientDemand::Target(2.0))
             .expect("platform fits the seed demand");
+        let mut assignment = ServerAssignment {
+            service_of: running.servers().map(|s| (running.node(s), 0)).collect(),
+        };
         let mut warm = WarmCache::new();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x3A17);
         for (step, rate) in demand_walk(&mut rng, 60, 0.5, 8.0).into_iter().enumerate() {
@@ -713,15 +719,17 @@ fn warm_replan_matches_cold_replan_on_randomized_demand_walks() {
             if step % 17 == 16 {
                 warm.invalidate();
             }
-            let demand = ClientDemand::Target(rate);
-            let warm_r = planner.replan_warm(&platform, &running, &service, demand, &mut warm);
-            let cold_r = planner.replan(&platform, &running, &service, demand);
+            let demand = MixDemand::targets(vec![rate]);
+            let warm_r = planner
+                .replan_mix_warm(&platform, &running, &mix, &assignment, &demand, &mut warm)
+                .expect("revision is routine");
+            let cold_r = planner.replan(&platform, &running, &service, ClientDemand::Target(rate));
             assert!(
                 warm_r.plan.structurally_eq(&cold_r.plan),
                 "step {step} (rate {rate}): warm and cold plans diverge"
             );
             assert_eq!(
-                warm_r.rho.to_bits(),
+                warm_r.report.rho.to_bits(),
                 cold_r.rho.to_bits(),
                 "step {step} (rate {rate}): warm rho must be bit-equal to cold"
             );
@@ -731,6 +739,7 @@ fn warm_replan_matches_cold_replan_on_randomized_demand_walks() {
                 "step {step} (rate {rate}): diffs diverge"
             );
             running = warm_r.plan;
+            assignment = warm_r.assignment;
         }
         assert!(
             warm.hits() > 0,
@@ -775,6 +784,11 @@ fn warm_mix_replan_matches_cold_on_randomized_demand_walks() {
             .map(|j| demand_walk(&mut rng, 40, 0.2, 2.5 - 0.5 * j as f64))
             .collect();
         for step in 0..40 {
+            // Occasionally simulate an external plan mutation: the
+            // caller-owned invalidation must also preserve parity.
+            if step % 17 == 16 {
+                warm.invalidate();
+            }
             let rates: Vec<f64> = walks.iter().map(|w| w[step]).collect();
             let demand = MixDemand::targets(rates.clone());
             let warm_r = planner
