@@ -1,7 +1,6 @@
 //! Criterion: planner runtime scaling with platform size — the heuristic
-//! (Algorithm 1), the sweep reference (parallel and sequential), and the
-//! CSD degree search — plus the `eval_strategy` ablation quantifying the
-//! incremental evaluation engine against the clone+full-eval baseline,
+//! (Algorithm 1, with and without the \[7\] rebalance pass), the sweep
+//! reference (parallel and sequential), and the CSD degree search — plus
 //! the `mix_scaling` group (batched multi-service planning vs independent
 //! single-service runs), the gated `mix_vs_sweep` quality group (the mix
 //! planner against the mix-aware sweep reference), the
@@ -20,8 +19,8 @@
 
 use adept_core::model::ModelParams;
 use adept_core::planner::{
-    EvalStrategy, HeuristicPlanner, HomogeneousCsdPlanner, MixObjective, MixPlanner, OnlinePlanner,
-    Planner, SweepPlanner,
+    HeuristicPlanner, HomogeneousCsdPlanner, MixObjective, MixPlanner, OnlinePlanner, Planner,
+    SweepPlanner,
 };
 use adept_platform::generator::{multi_site_grid, uniform_random_cluster};
 use adept_platform::{MbitRate, MflopRate, Platform};
@@ -39,6 +38,11 @@ fn bench_planners(c: &mut Criterion) {
             "heuristic",
             Box::new(HeuristicPlanner::paper()) as Box<dyn Planner>,
             &[25usize, 50, 100, 200, 400, 800, 1600][..],
+        ),
+        (
+            "heuristic-rebalance",
+            Box::new(HeuristicPlanner::with_rebalance()),
+            &[100, 200][..],
         ),
         (
             "sweep",
@@ -126,59 +130,6 @@ fn bench_large_scale(c: &mut Criterion) {
                     .len()
             })
         });
-    }
-    group.finish();
-}
-
-/// The ablation the incremental engine is judged by: the same heuristic,
-/// same platform, same service — only the probe evaluation differs. The
-/// full-clone baseline is capped at n = 400 (it is the O(n²)–O(n³) path
-/// this PR removes from the default).
-fn bench_eval_strategy(c: &mut Criterion) {
-    let service = Dgemm::new(310).service();
-    let mut group = c.benchmark_group("eval_strategy");
-    group.sample_size(10);
-    for &n in &[50usize, 100, 200, 400] {
-        let platform = platform(n);
-        for strategy in [EvalStrategy::Incremental, EvalStrategy::FullClone] {
-            let planner = HeuristicPlanner::paper().with_eval_strategy(strategy);
-            group.bench_with_input(
-                BenchmarkId::new(format!("heuristic-{}", strategy.label()), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        black_box(
-                            planner
-                                .plan(&platform, &service, ClientDemand::Unbounded)
-                                .expect("fits"),
-                        )
-                        .len()
-                    })
-                },
-            );
-        }
-    }
-    // The rebalance pass exercises best_for_agent_set, the other rewired
-    // consumer with a measurable inner loop.
-    for &n in &[100usize, 200] {
-        let platform = platform(n);
-        for strategy in [EvalStrategy::Incremental, EvalStrategy::FullClone] {
-            let planner = HeuristicPlanner::with_rebalance().with_eval_strategy(strategy);
-            group.bench_with_input(
-                BenchmarkId::new(format!("rebalance-{}", strategy.label()), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        black_box(
-                            planner
-                                .plan(&platform, &service, ClientDemand::Unbounded)
-                                .expect("fits"),
-                        )
-                        .len()
-                    })
-                },
-            );
-        }
     }
     group.finish();
 }
@@ -798,7 +749,6 @@ criterion_group!(
     benches,
     bench_planners,
     bench_large_scale,
-    bench_eval_strategy,
     bench_mix_scaling,
     bench_mix_vs_sweep,
     bench_mix_sweep_scaling,

@@ -2,7 +2,7 @@
 //! of the paper's Figures 2, 4, 6 and 7.
 //!
 //! Client counts are independent simulation runs, so they are distributed
-//! over worker threads with crossbeam's scoped threads.
+//! over worker threads with [`adept_core::par_claim`].
 
 // audit: allow-file(unwrap, "bench harness: fail fast on impossible states; output
 // feeds tables, not servers")
@@ -10,7 +10,6 @@ use adept_hierarchy::DeploymentPlan;
 use adept_nes_sim::{measure_throughput, SimConfig};
 use adept_platform::Platform;
 use adept_workload::ServiceSpec;
-use parking_lot::Mutex;
 
 /// One point of a load curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,35 +31,20 @@ pub fn load_curve(
     client_counts: &[usize],
     config: &SimConfig,
 ) -> Vec<CurvePoint> {
-    let results = Mutex::new(Vec::with_capacity(client_counts.len()));
-    let next = std::sync::atomic::AtomicUsize::new(0);
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(4)
-        .min(client_counts.len().max(1));
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                // audit: allow(relaxed, "pure claim counter handing out
-                // load-level indices; fetch_add RMW atomicity alone
-                // guarantees exactly-once claiming")
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&clients) = client_counts.get(i) else {
-                    break;
-                };
-                // Distinct seeds per load level keep runs independent.
-                let cfg = config.with_seed(config.seed.wrapping_add(clients as u64));
-                let out = measure_throughput(platform, plan, service, clients, &cfg);
-                results.lock().push(CurvePoint {
-                    clients,
-                    throughput: out.throughput,
-                    mean_response_time: out.mean_response_time,
-                });
-            });
+        .unwrap_or(4);
+    let mut points = adept_core::par_claim(workers, client_counts.len(), |i| {
+        let clients = client_counts[i];
+        // Distinct seeds per load level keep runs independent.
+        let cfg = config.with_seed(config.seed.wrapping_add(clients as u64));
+        let out = measure_throughput(platform, plan, service, clients, &cfg);
+        CurvePoint {
+            clients,
+            throughput: out.throughput,
+            mean_response_time: out.mean_response_time,
         }
-    })
-    .expect("curve workers do not panic");
-    let mut points = results.into_inner();
+    });
     points.sort_by_key(|p| p.clients);
     points
 }

@@ -9,7 +9,7 @@
 //!   correlation coefficient of 0.97");
 //! * [`scenarios`] — the paper's platforms and workloads as named setups;
 //! * [`curves`] — load-curve sweeps (throughput vs. number of clients)
-//!   run in parallel across client counts with crossbeam;
+//!   run in parallel across client counts with `adept_core::par_claim`;
 //! * [`gate`] — the CI perf-regression gate comparing a `BENCH_JSON`
 //!   smoke run against the committed `BENCH_planner.baseline.json`.
 //!

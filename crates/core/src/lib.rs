@@ -48,8 +48,10 @@
 
 pub mod analysis;
 pub mod model;
+mod par;
 pub mod planner;
 
 pub use analysis::{Bottleneck, ThroughputReport};
 pub use model::ModelParams;
+pub use par::par_claim;
 pub use planner::{Planner, PlannerError};

@@ -49,13 +49,13 @@
 //!
 //! ## Probe cost
 //!
-//! Every growth step probes candidate moves under the model. With the
-//! default [`EvalStrategy::Incremental`] a probe is an O(log n)
-//! delta+undo on [`IncrementalEval`]; with [`EvalStrategy::FullClone`]
-//! (the pre-incremental baseline, kept for the `eval_strategy` ablation
-//! bench) it clones the plan and re-runs Eq. 13–16 from scratch, O(n).
-//! Both commit identical moves on a uniform network; see
-//! [`EvalStrategy`] for the parity contract.
+//! Every growth step probes candidate moves under the model, each as an
+//! O(log n) delta+undo on [`IncrementalEval`], which computes Eq. 16
+//! exactly; the deployment is realized into a tree once, at the end.
+//! This module's tests keep a growth loop that clones the plan and
+//! re-runs Eq. 13–16 from scratch per probe, O(n), as the reference:
+//! the planner must commit the same moves, so both plans' ρ agree to
+//! 1e-9 relative.
 //!
 //! ## Heterogeneous communication
 //!
@@ -72,14 +72,13 @@
 // audit: allow-file(unwrap, "heuristic builder invariants documented in each
 // expect; the Table 4 parity suite covers the build paths")
 use super::realize::{best_attach_agent_site_aware, realize_from_eval, AttachHeap};
-use super::{improve, resolve_params, EvalStrategy, Planner, PlannerError};
+use super::{improve, resolve_params, Planner, PlannerError};
 use crate::model::batch;
 use crate::model::throughput::{hier_ser_pow, sch_pow};
 use crate::model::{IncrementalEval, ModelParams};
 use adept_hierarchy::{DeploymentPlan, Slot};
 use adept_platform::{NodeId, Platform};
 use adept_workload::{ClientDemand, ServiceSpec};
-use std::collections::HashSet;
 
 /// Relative tolerance for "strictly better" comparisons; keeps the greedy
 /// from oscillating on floating-point noise.
@@ -97,8 +96,6 @@ pub struct HeuristicPlanner {
     /// Apply the iterative bottleneck-removal pass of \[7\] afterwards
     /// (extension; not part of Algorithm 1).
     pub rebalance: bool,
-    /// How candidate moves are evaluated (incremental by default).
-    pub eval_strategy: EvalStrategy,
 }
 
 impl Default for HeuristicPlanner {
@@ -107,7 +104,6 @@ impl Default for HeuristicPlanner {
             params: None,
             allow_conversion: true,
             rebalance: false,
-            eval_strategy: EvalStrategy::default(),
         }
     }
 }
@@ -134,12 +130,6 @@ impl HeuristicPlanner {
         }
     }
 
-    /// Replaces the probe evaluation strategy (ablation hook).
-    pub fn with_eval_strategy(mut self, strategy: EvalStrategy) -> Self {
-        self.eval_strategy = strategy;
-        self
-    }
-
     /// Steps 1–2: nodes sorted by `calc_sch_pow` with `n_nodes − 1`
     /// children, descending. Ties break toward lower node id (stable).
     /// The scores are computed once, batched over the flat power lane
@@ -161,22 +151,9 @@ impl HeuristicPlanner {
     }
 }
 
-/// The agent of `plan` that keeps the highest scheduling power after
-/// receiving one more child. Ties break toward the lower slot.
-fn best_attach_agent(params: &ModelParams, platform: &Platform, plan: &DeploymentPlan) -> Slot {
-    plan.agents()
-        .max_by(|&a, &b| {
-            let pa = sch_pow(params, platform.power(plan.node(a)), plan.degree(a) + 1);
-            let pb = sch_pow(params, platform.power(plan.node(b)), plan.degree(b) + 1);
-            pa.partial_cmp(&pb)
-                .expect("rates are finite")
-                .then(b.cmp(&a))
-        })
-        .expect("plans always contain the root agent")
-}
-
-/// [`best_attach_agent`] over the incremental mirror — same rule, same
-/// tie-breaking, no plan access. Shared with the online re-planner.
+/// The agent of the engine that keeps the highest scheduling power after
+/// receiving one more child. Ties break toward the lower slot. Shared
+/// with the online re-planner.
 pub(crate) fn best_attach_agent_in_eval(params: &ModelParams, eval: &IncrementalEval) -> Slot {
     eval.agents()
         .max_by(|&a, &b| {
@@ -202,78 +179,6 @@ pub(crate) fn best_attach_agent_in_eval_for(
         return best_attach_agent_in_eval(params, eval);
     }
     best_attach_agent_site_aware(eval, child_site)
-}
-
-/// Attaches `node` as a server under the best agent; returns the updated
-/// plan (full-clone probe path).
-fn attach_best(
-    params: &ModelParams,
-    platform: &Platform,
-    plan: &DeploymentPlan,
-    node: NodeId,
-) -> DeploymentPlan {
-    let best_agent = best_attach_agent(params, platform, plan);
-    let mut next = plan.clone();
-    next.add_server(best_agent, node)
-        .expect("unused node under an agent always inserts");
-    next
-}
-
-/// The `shift_nodes` conversion: promote the strongest server to an agent,
-/// rebalance all degrees over the enlarged agent set (waterfill), then
-/// grow servers from `queue` while the modelled throughput improves.
-/// Returns `(plan, queue nodes consumed, final rho)`, or `None` when no
-/// conversion is possible.
-///
-/// `power_order` is the planner's node list sorted strongest-first —
-/// computed once per planning run (`sorted_nodes` ordering coincides with
-/// power order because `sch_pow` at fixed degree is strictly increasing in
-/// power) and filtered here by membership, instead of re-collecting and
-/// re-sorting the agent/server lists on every stalled-attachment probe.
-fn try_conversion(
-    params: &ModelParams,
-    platform: &Platform,
-    plan: &DeploymentPlan,
-    service: &ServiceSpec,
-    demand: ClientDemand,
-    queue: &std::collections::VecDeque<NodeId>,
-    power_order: &[NodeId],
-) -> Option<(DeploymentPlan, usize, f64)> {
-    let server_set: HashSet<NodeId> = plan.servers().map(|s| plan.node(s)).collect();
-    let agent_set: HashSet<NodeId> = plan.agents().map(|s| plan.node(s)).collect();
-    let mut servers: Vec<NodeId> = power_order
-        .iter()
-        .copied()
-        .filter(|n| server_set.contains(n))
-        .collect();
-    let victim = servers.remove(0);
-    if servers.is_empty() {
-        return None;
-    }
-    let agents: Vec<NodeId> = power_order
-        .iter()
-        .copied()
-        .filter(|n| agent_set.contains(n) || *n == victim)
-        .collect();
-
-    let mut p = super::realize::realize_balanced(params, platform, &agents, &servers)?;
-    let mut consumed = 0usize;
-    let mut rho = params.evaluate(platform, &p, service).rho;
-    while let Some(&more) = queue.get(consumed) {
-        if demand.satisfied_by(rho) {
-            break;
-        }
-        let grown = attach_best(params, platform, &p, more);
-        let grown_rho = params.evaluate(platform, &grown, service).rho;
-        if grown_rho > rho * (1.0 + EPS) {
-            p = grown;
-            rho = grown_rho;
-            consumed += 1;
-        } else {
-            break;
-        }
-    }
-    Some((p, consumed, rho))
 }
 
 /// The `shift_nodes` conversion as pure deltas on the incremental engine:
@@ -416,7 +321,14 @@ fn grow_incremental(
 
         // Attachment stalled: the hierarchy is at its sched/service
         // crossing. Try the shift_nodes conversion (steps 16–24) as a
-        // delta batch; see `grow_full_clone` for the algorithmic intent.
+        // delta batch: promote the strongest server to an agent,
+        // redistribute the children over the enlarged agent set (the
+        // conversion is pointless if the binding agent keeps its degree
+        // — the paper's own Figure 6 deployment has root degree 9 on 200
+        // nodes, so shift_nodes necessarily rebalances), then grow
+        // servers under the new level while that improves (the inner
+        // while of steps 18–24). The whole batch is committed only if
+        // it strictly beats the pre-conversion hierarchy.
         if allow_conversion && next_victim < server_order.len() {
             let victim = server_order[next_victim];
             if let Some((consumed, rho)) = try_conversion_deltas(
@@ -441,72 +353,6 @@ fn grow_incremental(
         break;
     }
     realize_from_eval(&eval)
-}
-
-/// The pre-incremental growth loop: every probe clones the plan and
-/// re-runs the full model (ablation baseline).
-#[allow(clippy::too_many_arguments)]
-fn grow_full_clone(
-    params: &ModelParams,
-    platform: &Platform,
-    service: &ServiceSpec,
-    demand: ClientDemand,
-    mut plan: DeploymentPlan,
-    mut queue: std::collections::VecDeque<NodeId>,
-    allow_conversion: bool,
-    power_order: &[NodeId],
-) -> DeploymentPlan {
-    let mut current = params.evaluate(platform, &plan, service).rho;
-
-    while !queue.is_empty() && !demand.satisfied_by(current) {
-        let next_node = *queue.front().expect("queue checked non-empty");
-
-        // Preferred action: plain attachment (steps 19–23's "take next
-        // node from sorted_nodes[] as a server"). While this improves,
-        // conversion is never cheaper in resources, so commit directly.
-        let attach_plan = attach_best(params, platform, &plan, next_node);
-        let attach_rho = params.evaluate(platform, &attach_plan, service).rho;
-        if attach_rho > current * (1.0 + EPS) {
-            plan = attach_plan;
-            current = attach_rho;
-            queue.pop_front();
-            continue;
-        }
-
-        // Attachment stalled: the hierarchy is at its sched/service
-        // crossing. Try the shift_nodes conversion (steps 16–24):
-        // promote the strongest server to an agent, redistribute the
-        // children over the enlarged agent set (the conversion is
-        // pointless if the binding agent keeps its degree — the
-        // paper's own Figure 6 deployment has root degree 9 on 200
-        // nodes, so shift_nodes necessarily rebalances), then grow
-        // servers under the new level while that improves (the inner
-        // while of steps 18–24). The whole batch is committed only if
-        // it strictly beats the pre-conversion hierarchy.
-        if allow_conversion && plan.server_count() >= 2 {
-            if let Some(candidate) = try_conversion(
-                params,
-                platform,
-                &plan,
-                service,
-                demand,
-                &queue,
-                power_order,
-            ) {
-                let (p, consumed, rho) = candidate;
-                if rho > current * (1.0 + EPS) {
-                    plan = p;
-                    current = rho;
-                    for _ in 0..consumed {
-                        queue.pop_front();
-                    }
-                    continue;
-                }
-            }
-        }
-        break;
-    }
-    plan
 }
 
 impl Planner for HeuristicPlanner {
@@ -553,38 +399,19 @@ impl Planner for HeuristicPlanner {
 
         // Steps 9–39: greedy growth.
         let queue: std::collections::VecDeque<NodeId> = sorted[2..].iter().copied().collect();
-        plan = match self.eval_strategy {
-            EvalStrategy::Incremental => grow_incremental(
-                &params,
-                platform,
-                service,
-                demand,
-                plan,
-                queue,
-                self.allow_conversion,
-            ),
-            EvalStrategy::FullClone => grow_full_clone(
-                &params,
-                platform,
-                service,
-                demand,
-                plan,
-                queue,
-                self.allow_conversion,
-                &sorted,
-            ),
-        };
+        plan = grow_incremental(
+            &params,
+            platform,
+            service,
+            demand,
+            plan,
+            queue,
+            self.allow_conversion,
+        );
 
         // Extension: the [7] bottleneck-removal repair pass.
         if self.rebalance {
-            plan = improve::rebalance_with(
-                &params,
-                platform,
-                &plan,
-                service,
-                demand,
-                self.eval_strategy,
-            );
+            plan = improve::rebalance(&params, platform, &plan, service, demand);
         }
         Ok(plan)
     }
@@ -597,11 +424,192 @@ mod tests {
     use adept_platform::generator::{heterogenized_cluster, lyon_cluster};
     use adept_platform::{BackgroundLoad, CapacityProbe, MflopRate};
     use adept_workload::Dgemm;
+    use std::collections::HashSet;
 
     fn rho_of(platform: &Platform, plan: &DeploymentPlan, svc: &ServiceSpec) -> f64 {
         ModelParams::from_platform(platform)
             .evaluate(platform, plan, svc)
             .rho
+    }
+
+    // ---- The clone-and-full-evaluate reference ----
+
+    /// The agent of `plan` that keeps the highest scheduling power after
+    /// receiving one more child. Ties break toward the lower slot.
+    fn best_attach_agent(params: &ModelParams, platform: &Platform, plan: &DeploymentPlan) -> Slot {
+        plan.agents()
+            .max_by(|&a, &b| {
+                let pa = sch_pow(params, platform.power(plan.node(a)), plan.degree(a) + 1);
+                let pb = sch_pow(params, platform.power(plan.node(b)), plan.degree(b) + 1);
+                pa.partial_cmp(&pb)
+                    .expect("rates are finite")
+                    .then(b.cmp(&a))
+            })
+            .expect("plans always contain the root agent")
+    }
+
+    /// Attaches `node` as a server under the best agent; returns the updated
+    /// plan.
+    fn attach_best(
+        params: &ModelParams,
+        platform: &Platform,
+        plan: &DeploymentPlan,
+        node: NodeId,
+    ) -> DeploymentPlan {
+        let best_agent = best_attach_agent(params, platform, plan);
+        let mut next = plan.clone();
+        next.add_server(best_agent, node)
+            .expect("unused node under an agent always inserts");
+        next
+    }
+
+    /// The `shift_nodes` conversion: promote the strongest server to an agent,
+    /// rebalance all degrees over the enlarged agent set (waterfill), then
+    /// grow servers from `queue` while the modelled throughput improves.
+    /// Returns `(plan, queue nodes consumed, final rho)`, or `None` when no
+    /// conversion is possible.
+    ///
+    /// `power_order` is the planner's node list sorted strongest-first —
+    /// computed once per planning run (`sorted_nodes` ordering coincides with
+    /// power order because `sch_pow` at fixed degree is strictly increasing in
+    /// power) and filtered here by membership, instead of re-collecting and
+    /// re-sorting the agent/server lists on every stalled-attachment probe.
+    fn try_conversion(
+        params: &ModelParams,
+        platform: &Platform,
+        plan: &DeploymentPlan,
+        service: &ServiceSpec,
+        demand: ClientDemand,
+        queue: &std::collections::VecDeque<NodeId>,
+        power_order: &[NodeId],
+    ) -> Option<(DeploymentPlan, usize, f64)> {
+        let server_set: HashSet<NodeId> = plan.servers().map(|s| plan.node(s)).collect();
+        let agent_set: HashSet<NodeId> = plan.agents().map(|s| plan.node(s)).collect();
+        let mut servers: Vec<NodeId> = power_order
+            .iter()
+            .copied()
+            .filter(|n| server_set.contains(n))
+            .collect();
+        let victim = servers.remove(0);
+        if servers.is_empty() {
+            return None;
+        }
+        let agents: Vec<NodeId> = power_order
+            .iter()
+            .copied()
+            .filter(|n| agent_set.contains(n) || *n == victim)
+            .collect();
+
+        let mut p = crate::planner::realize::realize_balanced(params, platform, &agents, &servers)?;
+        let mut consumed = 0usize;
+        let mut rho = params.evaluate(platform, &p, service).rho;
+        while let Some(&more) = queue.get(consumed) {
+            if demand.satisfied_by(rho) {
+                break;
+            }
+            let grown = attach_best(params, platform, &p, more);
+            let grown_rho = params.evaluate(platform, &grown, service).rho;
+            if grown_rho > rho * (1.0 + EPS) {
+                p = grown;
+                rho = grown_rho;
+                consumed += 1;
+            } else {
+                break;
+            }
+        }
+        Some((p, consumed, rho))
+    }
+
+    /// The reference growth loop: every probe clones the plan and re-runs
+    /// the full model.
+    #[allow(clippy::too_many_arguments)]
+    fn grow_full_clone(
+        params: &ModelParams,
+        platform: &Platform,
+        service: &ServiceSpec,
+        demand: ClientDemand,
+        mut plan: DeploymentPlan,
+        mut queue: std::collections::VecDeque<NodeId>,
+        allow_conversion: bool,
+        power_order: &[NodeId],
+    ) -> DeploymentPlan {
+        let mut current = params.evaluate(platform, &plan, service).rho;
+
+        while !queue.is_empty() && !demand.satisfied_by(current) {
+            let next_node = *queue.front().expect("queue checked non-empty");
+
+            // Preferred action: plain attachment (steps 19–23's "take next
+            // node from sorted_nodes[] as a server"). While this improves,
+            // conversion is never cheaper in resources, so commit directly.
+            let attach_plan = attach_best(params, platform, &plan, next_node);
+            let attach_rho = params.evaluate(platform, &attach_plan, service).rho;
+            if attach_rho > current * (1.0 + EPS) {
+                plan = attach_plan;
+                current = attach_rho;
+                queue.pop_front();
+                continue;
+            }
+
+            // Attachment stalled: try the shift_nodes conversion (steps
+            // 16–24), committed only if it strictly beats the hierarchy.
+            if allow_conversion && plan.server_count() >= 2 {
+                if let Some(candidate) = try_conversion(
+                    params,
+                    platform,
+                    &plan,
+                    service,
+                    demand,
+                    &queue,
+                    power_order,
+                ) {
+                    let (p, consumed, rho) = candidate;
+                    if rho > current * (1.0 + EPS) {
+                        plan = p;
+                        current = rho;
+                        for _ in 0..consumed {
+                            queue.pop_front();
+                        }
+                        continue;
+                    }
+                }
+            }
+            break;
+        }
+        plan
+    }
+
+    /// [`HeuristicPlanner::plan`] on the reference: steps 1–7 as in the
+    /// planner, growth by [`grow_full_clone`], then the full-scan
+    /// rebalance when the planner asks for it.
+    fn plan_full_clone(
+        planner: HeuristicPlanner,
+        platform: &Platform,
+        service: &ServiceSpec,
+        demand: ClientDemand,
+    ) -> DeploymentPlan {
+        let params = resolve_params(planner.params, platform);
+        let sorted = HeuristicPlanner::sorted_nodes(&params, platform);
+        let plan = DeploymentPlan::agent_server(sorted[0], sorted[1]);
+        let min_ser_cv =
+            hier_ser_pow(&params, service, [platform.power(sorted[1])]).min(demand.rate());
+        if sch_pow(&params, platform.power(sorted[0]), 1) < min_ser_cv {
+            return plan;
+        }
+        let queue = sorted[2..].iter().copied().collect();
+        let plan = grow_full_clone(
+            &params,
+            platform,
+            service,
+            demand,
+            plan,
+            queue,
+            planner.allow_conversion,
+            &sorted,
+        );
+        if planner.rebalance {
+            return improve::rebalance_full(&params, platform, &plan, service, demand);
+        }
+        plan
     }
 
     #[test]
@@ -773,9 +781,10 @@ mod tests {
 
     #[test]
     fn incremental_and_full_clone_strategies_agree() {
-        // The probe strategy must not change the planner's decisions: on
-        // the Table 4 scenarios (homogeneous, all DGEMM sizes) and on
-        // heterogenized platforms both paths must commit the same moves.
+        // The incremental probes must not change the planner's decisions:
+        // on the Table 4 scenarios (homogeneous, all DGEMM sizes) and on
+        // heterogenized platforms the planner and the clone-and-full-
+        // evaluate reference must commit the same moves.
         let hetero = heterogenized_cluster(
             "orsay",
             55,
@@ -794,13 +803,9 @@ mod tests {
                     HeuristicPlanner::without_conversion(),
                 ] {
                     let inc = planner
-                        .with_eval_strategy(EvalStrategy::Incremental)
                         .plan(platform, &svc, ClientDemand::Unbounded)
                         .unwrap();
-                    let full = planner
-                        .with_eval_strategy(EvalStrategy::FullClone)
-                        .plan(platform, &svc, ClientDemand::Unbounded)
-                        .unwrap();
+                    let full = plan_full_clone(planner, platform, &svc, ClientDemand::Unbounded);
                     let ri = rho_of(platform, &inc, &svc);
                     let rf = rho_of(platform, &full, &svc);
                     assert!(
@@ -815,19 +820,21 @@ mod tests {
 
     #[test]
     fn strategies_agree_under_demand_caps() {
-        // The two strategies may realize differently-shaped (but
-        // throughput-identical) trees; resource usage and the achieved
-        // rate must match.
+        // The planner and the reference may realize differently-shaped
+        // (but throughput-identical) trees; resource usage and the
+        // achieved rate must match.
         let platform = lyon_cluster(30);
         let svc = Dgemm::new(1000).service();
         for target in [0.5, 1.0, 3.0] {
             let inc = HeuristicPlanner::paper()
                 .plan(&platform, &svc, ClientDemand::target(target))
                 .unwrap();
-            let full = HeuristicPlanner::paper()
-                .with_eval_strategy(EvalStrategy::FullClone)
-                .plan(&platform, &svc, ClientDemand::target(target))
-                .unwrap();
+            let full = plan_full_clone(
+                HeuristicPlanner::paper(),
+                &platform,
+                &svc,
+                ClientDemand::target(target),
+            );
             assert_eq!(inc.len(), full.len(), "target {target}: node counts");
             assert_eq!(
                 inc.agent_count(),

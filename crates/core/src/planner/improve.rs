@@ -25,7 +25,6 @@
 //! The pass never returns a worse plan than its input.
 
 use super::realize::{realize, realize_balanced, HeapEntry};
-use super::EvalStrategy;
 use crate::model::throughput::sch_pow;
 use crate::model::{IncrementalEval, ModelParams};
 use adept_hierarchy::{DeploymentPlan, Slot};
@@ -56,18 +55,17 @@ pub(crate) fn by_power_desc(platform: &Platform, ids: &mut [NodeId]) {
 /// (strongest first). Returns the best `(plan, rho)` if any configuration
 /// is feasible. The scan stops after the unimodal peak.
 ///
-/// With [`EvalStrategy::Incremental`] the scan mirrors the sweep planner:
-/// child slots are waterfilled one at a time through a heap while the
-/// incremental evaluator maintains ρ, so stepping from `s` to `s+1`
-/// servers costs O(log n) instead of a fresh O(n) realize + evaluate —
-/// and only the winning server count is realized into a tree, once.
+/// On a uniform network the scan mirrors the sweep planner: child slots
+/// are waterfilled one at a time through a heap while the incremental
+/// evaluator maintains ρ, so stepping from `s` to `s+1` servers costs
+/// O(log n) instead of a fresh O(n) realize + evaluate — and only the
+/// winning server count is realized into a tree, once.
 fn best_for_agent_set(
     params: &ModelParams,
     platform: &Platform,
     service: &ServiceSpec,
     agents: &[NodeId],
     pool: &[NodeId],
-    strategy: EvalStrategy,
 ) -> Option<(DeploymentPlan, f64)> {
     // The incremental scan's abstract waterfill ranks agents by power
     // alone and prices phantom children at each agent's own site; on a
@@ -79,16 +77,12 @@ fn best_for_agent_set(
     if params.uses_link_bandwidths(platform) {
         return best_for_agent_set_full(params, platform, service, agents, pool);
     }
-    match strategy {
-        EvalStrategy::Incremental => {
-            best_for_agent_set_incremental(params, platform, service, agents, pool)
-        }
-        EvalStrategy::FullClone => best_for_agent_set_full(params, platform, service, agents, pool),
-    }
+    best_for_agent_set_incremental(params, platform, service, agents, pool)
 }
 
-/// The pre-incremental baseline: one realize + full evaluate per server
-/// count (kept for the `eval_strategy` ablation).
+/// The multi-site scan: one realize + full (per-link) evaluate per
+/// server count. On a uniform network it is also the reference the
+/// incremental scan is tested against.
 fn best_for_agent_set_full(
     params: &ModelParams,
     platform: &Platform,
@@ -204,8 +198,7 @@ fn best_for_agent_set_incremental(
 
 /// Runs the bottleneck-removal pass until no move improves the modelled
 /// throughput (or the demand is met). Returns the improved plan; never
-/// worse than the input under the model. Uses the default (incremental)
-/// probe strategy; see [`rebalance_with`].
+/// worse than the input under the model.
 pub fn rebalance(
     params: &ModelParams,
     platform: &Platform,
@@ -213,25 +206,20 @@ pub fn rebalance(
     service: &ServiceSpec,
     demand: ClientDemand,
 ) -> DeploymentPlan {
-    rebalance_with(
-        params,
-        platform,
-        plan,
-        service,
-        demand,
-        EvalStrategy::default(),
-    )
+    rebalance_by(params, platform, plan, service, demand, |agents, pool| {
+        best_for_agent_set(params, platform, service, agents, pool)
+    })
 }
 
-/// [`rebalance`] with an explicit probe evaluation strategy (ablation
-/// hook; see [`EvalStrategy`]).
-pub fn rebalance_with(
+/// [`rebalance`] over an explicit per-agent-set scan `scan(agents,
+/// pool)`; the tests pass the full-evaluate scan as the reference.
+fn rebalance_by(
     params: &ModelParams,
     platform: &Platform,
     plan: &DeploymentPlan,
     service: &ServiceSpec,
     demand: ClientDemand,
-    strategy: EvalStrategy,
+    scan: impl Fn(&[NodeId], &[NodeId]) -> Option<(DeploymentPlan, f64)>,
 ) -> DeploymentPlan {
     let mut best_plan = plan.clone();
     let mut best_rho = params.evaluate(platform, &best_plan, service).rho;
@@ -266,23 +254,14 @@ pub fn rebalance_with(
         };
 
         // Keep: same agents, re-tuned server count.
-        consider(best_for_agent_set(
-            params, platform, service, &agents, &pool, strategy,
-        ));
+        consider(scan(&agents, &pool));
 
         // Promote: the strongest pool node becomes an agent.
         if pool.len() >= 2 {
             let mut a2 = agents.clone();
             a2.push(pool[0]);
             by_power_desc(platform, &mut a2);
-            consider(best_for_agent_set(
-                params,
-                platform,
-                service,
-                &a2,
-                &pool[1..],
-                strategy,
-            ));
+            consider(scan(&a2, &pool[1..]));
         }
 
         // Demote: the weakest agent returns to the pool.
@@ -291,9 +270,7 @@ pub fn rebalance_with(
             let mut p2 = pool.clone();
             p2.push(agents[agents.len() - 1]);
             by_power_desc(platform, &mut p2);
-            consider(best_for_agent_set(
-                params, platform, service, &a2, &p2, strategy,
-            ));
+            consider(scan(&a2, &p2));
         }
 
         match candidate {
@@ -305,6 +282,22 @@ pub fn rebalance_with(
         }
     }
     best_plan
+}
+
+/// The clone-and-full-evaluate [`rebalance`]: every server count of
+/// every candidate agent set realized and scored by Eq. 16 from scratch
+/// — the reference the parity tests hold the incremental scan to.
+#[cfg(test)]
+pub(crate) fn rebalance_full(
+    params: &ModelParams,
+    platform: &Platform,
+    plan: &DeploymentPlan,
+    service: &ServiceSpec,
+    demand: ClientDemand,
+) -> DeploymentPlan {
+    rebalance_by(params, platform, plan, service, demand, |agents, pool| {
+        best_for_agent_set_full(params, platform, service, agents, pool)
+    })
 }
 
 #[cfg(test)]
@@ -449,22 +442,8 @@ mod tests {
                 let svc = Dgemm::new(size).service();
                 for k in [1usize, 2, 3, 5] {
                     let (agents, pool) = (&nodes[..k], &nodes[k..]);
-                    let inc = best_for_agent_set(
-                        &params,
-                        platform,
-                        &svc,
-                        agents,
-                        pool,
-                        EvalStrategy::Incremental,
-                    );
-                    let full = best_for_agent_set(
-                        &params,
-                        platform,
-                        &svc,
-                        agents,
-                        pool,
-                        EvalStrategy::FullClone,
-                    );
+                    let inc = best_for_agent_set(&params, platform, &svc, agents, pool);
+                    let full = best_for_agent_set_full(&params, platform, &svc, agents, pool);
                     match (inc, full) {
                         (None, None) => {}
                         (Some((pi, ri)), Some((pf, rf))) => {
@@ -495,22 +474,8 @@ mod tests {
             let start = StarPlanner
                 .plan(&platform, &svc, ClientDemand::Unbounded)
                 .unwrap();
-            let inc = rebalance_with(
-                &params,
-                &platform,
-                &start,
-                &svc,
-                ClientDemand::Unbounded,
-                EvalStrategy::Incremental,
-            );
-            let full = rebalance_with(
-                &params,
-                &platform,
-                &start,
-                &svc,
-                ClientDemand::Unbounded,
-                EvalStrategy::FullClone,
-            );
+            let inc = rebalance(&params, &platform, &start, &svc, ClientDemand::Unbounded);
+            let full = rebalance_full(&params, &platform, &start, &svc, ClientDemand::Unbounded);
             let (ri, rf) = (
                 rho_of(&platform, &inc, &svc),
                 rho_of(&platform, &full, &svc),

@@ -2,7 +2,10 @@
 //!
 //! * [`HeuristicPlanner`] — the paper's contribution (Section 4,
 //!   Algorithm 1): greedy construction from nodes sorted by scheduling
-//!   power, with server→agent conversion (`shift_nodes`).
+//!   power, with server→agent conversion (`shift_nodes`). Its growth
+//!   loop and the [`improve`] pass probe moves as O(log n) deltas on the
+//!   incremental engine; clone-and-full-evaluate versions of both exist
+//!   only as the references of their parity tests.
 //! * [`HomogeneousCsdPlanner`] — the authors' prior work \[10\]: the
 //!   optimal **complete spanning d-ary tree** for homogeneous clusters,
 //!   degree chosen under the model (Table 4's "Homo. Deg." column).
@@ -56,38 +59,6 @@ use adept_hierarchy::DeploymentPlan;
 use adept_platform::Platform;
 use adept_workload::{ClientDemand, ServiceSpec};
 use std::fmt;
-
-/// How the [`HeuristicPlanner`] growth loop and the [`improve`] pass
-/// evaluate candidate moves.
-///
-/// The default, [`EvalStrategy::Incremental`], probes each move through
-/// [`IncrementalEval`](crate::model::IncrementalEval) — an O(log n)
-/// delta-apply, read `ρ`, undo. [`EvalStrategy::FullClone`] keeps the
-/// original clone-the-plan-and-re-run-Eq.-16 probes; it exists as an
-/// ablation baseline so benchmarks (`planner_scaling`'s `eval_strategy`
-/// group) measure the speedup instead of asserting it. Both strategies
-/// commit the same moves, so the produced plans' throughputs agree to
-/// float-associativity (≤ 1e-9 relative). [`OnlinePlanner`] always
-/// probes incrementally; its clone-and-full-evaluate counterpart is a
-/// reference inside its tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalStrategy {
-    /// O(log n) delta + undo probes on the incremental engine (default).
-    #[default]
-    Incremental,
-    /// O(n) clone + full Eq. 13–16 re-evaluation per probe (ablation).
-    FullClone,
-}
-
-impl EvalStrategy {
-    /// Short label for bench ids and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            EvalStrategy::Incremental => "incremental",
-            EvalStrategy::FullClone => "full-clone",
-        }
-    }
-}
 
 /// Errors raised by planners.
 #[derive(Debug, Clone, PartialEq, Eq)]

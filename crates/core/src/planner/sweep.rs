@@ -18,13 +18,13 @@
 //! 200-node Grid'5000 scenarios.
 //!
 //! The outer `k`-loop's iterations are fully independent, so on large
-//! platforms they are distributed over worker threads (scoped std
-//! threads pulling `k` values from an atomic counter); each worker folds
-//! its `k`s locally and the per-`k` winners merge in ascending-`k` order
-//! with the same strict-improvement rule the sequential fold uses, so
-//! the parallel sweep selects the same configuration (ties below the
-//! 1e-12 resolution excepted) and the returned ρ is identical. Set
-//! [`SweepPlanner::parallel`] to `false` to force the sequential path.
+//! platforms they are distributed over worker threads by
+//! [`par_claim`](crate::par_claim), which returns the per-`k` winners in
+//! ascending-`k` order; they merge with the same strict-improvement rule
+//! either way, so the parallel sweep selects the same configuration and
+//! returns the same ρ as the sequential one. Set
+//! [`SweepPlanner::threads`] to `Some(1)` (as
+//! [`SweepPlanner::sequential`] does) to force the sequential path.
 //!
 //! This is the strongest polynomial-time reference we can compute and
 //! serves as Table 4's "optimal" when judging the heuristic ("Heur. Perf."
@@ -62,8 +62,7 @@
 //! phase 2 below is shared between both references.
 
 // audit: allow-file(unwrap, "sweep engine invariants documented in each expect; the
-// Table 4 parity tests cover the walk and worker-join expects propagate child
-// panics")
+// Table 4 parity tests cover the walk")
 use super::realize::HeapEntry;
 use super::{resolve_params, Planner, PlannerError};
 use crate::model::throughput::{sch_pow, service_rate_from_sums};
@@ -72,7 +71,6 @@ use adept_hierarchy::{DeploymentPlan, PlanError, Slot};
 use adept_platform::{NodeId, Platform};
 use adept_workload::{ClientDemand, ServiceMix, ServiceSpec};
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Strict-improvement resolution of the sweep: ties within this margin
@@ -177,64 +175,18 @@ pub(crate) fn mix_wapp_cap(mix: &ServiceMix, candidates: &[usize]) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-/// Runs `job(site_index)` for every site, distributing indices over
-/// `workers` scoped threads (dynamic pull, like the k-loop), and returns
-/// the results **indexed by site** — so callers fold them in ascending
-/// site order and the outcome is identical to the sequential loop
-/// whatever the scheduling was.
-pub(crate) fn for_each_site<R: Send>(
-    workers: usize,
-    n_sites: usize,
-    job: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
-    if workers <= 1 || n_sites <= 1 {
-        return (0..n_sites).map(job).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut tagged = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(n_sites))
-            .map(|_| {
-                let job = &job;
-                let next = &next;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        // audit: allow(relaxed, "pure claim counter: the
-                        // index is the only datum and fetch_add is an RMW,
-                        // so no ordering is needed; exactly-once claiming
-                        // is model-checked in interleave_kernels.rs")
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_sites {
-                            break;
-                        }
-                        local.push((i, job(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("site workers do not panic"))
-            .collect::<Vec<_>>()
-    });
-    tagged.sort_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, r)| r).collect()
-}
-
 /// The sweep planner.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SweepPlanner {
     /// Optional model-parameter override.
     pub params: Option<ModelParams>,
-    /// Distribute the outer agent-count loop over worker threads on large
-    /// platforms (default). The result is deterministic either way.
-    pub parallel: bool,
-    /// Worker-count override; `None` uses the machine's available
-    /// parallelism, and any explicit value is clamped to at least one
-    /// worker (`with_threads(0)` runs sequentially rather than spawning
-    /// an empty pool). Only consulted when [`parallel`](Self::parallel)
-    /// is on and the platform crosses the size threshold.
+    /// Worker threads for the outer agent-count loop (and the per-site
+    /// refinement) on large platforms. `None` (default) uses the
+    /// machine's available parallelism; an explicit value is clamped to
+    /// at least one worker, so `Some(1)` and `Some(0)` both run the
+    /// sequential scan. Platforms below the size threshold always run
+    /// sequentially. The chosen plan does not depend on the worker
+    /// count.
     pub threads: Option<usize>,
     /// Optional cap on the swept agent count `k`; `None` (default)
     /// sweeps every feasible count. A cap of `0` is a configuration
@@ -273,26 +225,11 @@ pub struct SweepPlanner {
     pub time_budget: Option<Duration>,
 }
 
-impl Default for SweepPlanner {
-    fn default() -> Self {
-        Self {
-            params: None,
-            parallel: true,
-            threads: None,
-            max_agents: None,
-            coarsen: None,
-            time_budget: None,
-        }
-    }
-}
-
 impl SweepPlanner {
-    /// A sweep forced onto the sequential path (ablation/debug hook).
+    /// A sweep forced onto the sequential path (ablation/debug hook):
+    /// [`with_threads(1)`](Self::with_threads).
     pub fn sequential() -> Self {
-        Self {
-            parallel: false,
-            ..Self::default()
-        }
+        Self::with_threads(1)
     }
 
     /// A sweep with an explicit worker count (testing/tuning hook).
@@ -351,22 +288,21 @@ impl SweepPlanner {
     }
 
     /// Worker-thread count for a loop over `n_local` items, honoring
-    /// [`parallel`](Self::parallel)/[`threads`](Self::threads) and the
-    /// spawn-overhead threshold; `cap` bounds useful parallelism (e.g.
-    /// `k_cap` for the k-loop, the site count for per-site refinement).
+    /// [`threads`](Self::threads) and the spawn-overhead threshold;
+    /// `cap` bounds useful parallelism (e.g. `k_cap` for the k-loop, the
+    /// site count for per-site refinement).
     pub(crate) fn worker_count(&self, n_local: usize, cap: usize) -> usize {
-        if self.parallel && n_local >= PARALLEL_THRESHOLD {
-            self.threads
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|c| c.get())
-                        .unwrap_or(1)
-                })
-                .min(cap)
-                .max(1)
-        } else {
-            1
+        if n_local < PARALLEL_THRESHOLD {
+            return 1;
         }
+        self.threads
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|c| c.get())
+                    .unwrap_or(1)
+            })
+            .min(cap)
+            .max(1)
     }
 }
 
@@ -584,46 +520,10 @@ impl SweepPlanner {
 
         let k_cap = self.k_cap(n);
         let workers = self.worker_count(n, n - 1);
-
-        let best = if workers <= 1 {
-            merge_in_k_order((1..=k_cap).filter_map(|k| scan_k(&ctx, n, k)))
-        } else {
-            // Workers pull k values from a shared counter (dynamic load
-            // balance: small k scans are much longer than large k ones),
-            // then the per-k winners merge in ascending k order.
-            let next_k = AtomicUsize::new(1);
-            let mut candidates = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let ctx = &ctx;
-                        let next_k = &next_k;
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                // audit: allow(relaxed, "pure claim counter
-                                // over k values, same argument as the site
-                                // sweep above; model-checked in
-                                // interleave_kernels.rs")
-                                let k = next_k.fetch_add(1, Ordering::Relaxed);
-                                if k > k_cap {
-                                    break;
-                                }
-                                if let Some(b) = scan_k(ctx, n, k) {
-                                    local.push(b);
-                                }
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("sweep workers do not panic"))
-                    .collect::<Vec<_>>()
-            });
-            candidates.sort_by_key(|c| c.agents);
-            merge_in_k_order(candidates)
-        };
+        // Claim index i scans k = i + 1; the per-k winners come back in
+        // ascending k order whatever the worker count.
+        let per_k = crate::par_claim(workers, k_cap, |i| scan_k(&ctx, n, i + 1));
+        let best = merge_in_k_order(per_k.into_iter().flatten());
 
         let cfg =
             best.ok_or_else(|| PlannerError::InvalidConfig("no feasible deployment found".into()))?;
@@ -675,13 +575,13 @@ impl SweepPlanner {
         let workers = self.worker_count(platform.node_count(), sites.len());
         let inner = if workers > 1 {
             SweepPlanner {
-                parallel: false,
+                threads: Some(1),
                 ..*self
             }
         } else {
             *self
         };
-        let per_site = for_each_site(workers, sites.len(), |i| {
+        let per_site = crate::par_claim(workers, sites.len(), |i| {
             let site = &sites[i];
             let mut nodes = platform.nodes_on_site(site.id);
             if nodes.len() < 2 {

@@ -159,7 +159,7 @@ use adept_hierarchy::{DeploymentPlan, Role, Slot};
 use adept_platform::{MflopRate, NodeId, Platform};
 use adept_workload::ServiceMix;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Swept-list size above which the composition grid auto-activates
@@ -186,9 +186,11 @@ const DEADLINE_CHECK_INTERVAL: u64 = 32;
 /// Search telemetry for one [`best_mix_plan_stats`] call: where the
 /// composition walk spent (and saved) its nodes. Every visited grid
 /// point is counted in **exactly one** of the four outcome buckets, so
-/// `visited == expanded + pruned()` always holds; parallel sweeps sum
-/// worker-local stats (order-independent), so the counters are
-/// deterministic for a fixed configuration.
+/// `visited == expanded + pruned()` always holds, on every path. The
+/// counts repeat exactly only on the sequential path: a threaded sweep
+/// prunes against an incumbent that depends on which `k` finished
+/// first, so its counters vary from run to run (its objective does
+/// not).
 ///
 /// [`best_mix_plan_stats`]: SweepPlanner::best_mix_plan_stats
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1156,60 +1158,31 @@ impl SweepPlanner {
             }
             return refine_k_window(ctx, k_cap, best, warm_obj, stats);
         }
-        // Same worker pool as the single-service sweep: dynamic k
-        // queue (over grid indices), ascending-k merge; the incumbent
-        // is shared across workers (and hence across k) as ordered f64
-        // bits.
-        let next_i = AtomicUsize::new(0);
+        // Threaded: workers claim grid indices through `par_claim`; the
+        // incumbent is shared across workers (and hence across k) as
+        // ordered f64 bits. Results come back in index order, i.e.
+        // ascending k.
         let shared = AtomicU64::new(ordered_bits(warm_obj));
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next_i = &next_i;
-                    let shared = &shared;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        let mut local_stats = SweepStats::default();
-                        loop {
-                            // audit: allow(relaxed, "pure claim counter over
-                            // grid indices: fetch_add RMW atomicity alone
-                            // guarantees exactly-once claiming; model-checked
-                            // in interleave_kernels.rs")
-                            let k = k_at(next_i.fetch_add(1, Ordering::Relaxed));
-                            if k > k_cap {
-                                break;
-                            }
-                            if past_deadline(ctx.deadline) {
-                                local_stats.truncated = true;
-                                break;
-                            }
-                            // Acquire/AcqRel pair: the incumbent bound is
-                            // data another worker computed, so the reader
-                            // must synchronize with the publishing fetch_max
-                            // (see the module-level concurrency note).
-                            let incumbent = from_ordered_bits(shared.load(Ordering::Acquire));
-                            if let Some(b) = scan_k_mix(ctx, k, incumbent, &mut local_stats) {
-                                shared.fetch_max(ordered_bits(b.objective), Ordering::AcqRel);
-                                local.push(b);
-                            }
-                        }
-                        (local, local_stats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("mix sweep workers do not panic"))
-                .collect::<Vec<_>>()
+        let per_k = crate::par_claim(workers, k_cap.div_ceil(k_block), |i| {
+            let mut local = SweepStats::default();
+            if past_deadline(ctx.deadline) {
+                local.truncated = true;
+                return (None, local);
+            }
+            // Acquire/AcqRel pair: the incumbent bound is data another
+            // worker computed, so the reader must synchronize with the
+            // publishing fetch_max (see the module-level concurrency note).
+            let incumbent = from_ordered_bits(shared.load(Ordering::Acquire));
+            let best = scan_k_mix(ctx, k_at(i), incumbent, &mut local);
+            if let Some(b) = &best {
+                shared.fetch_max(ordered_bits(b.objective), Ordering::AcqRel);
+            }
+            (best, local)
         });
-        let mut cands = Vec::new();
-        for (local, local_stats) in results {
-            stats.absorb(&local_stats);
-            cands.extend(local);
-        }
-        cands.sort_by_key(|c| c.agents);
         let mut best: Option<KMixBest> = None;
-        for cand in cands {
+        for (cand, local) in per_k {
+            stats.absorb(&local);
+            let Some(cand) = cand else { continue };
             if best
                 .as_ref()
                 .is_none_or(|b| cand.objective > b.objective + TIE_EPS)
@@ -1325,13 +1298,13 @@ impl SweepPlanner {
         let workers = self.worker_count(platform.node_count(), sites.len());
         let inner = if workers > 1 {
             SweepPlanner {
-                parallel: false,
+                threads: Some(1),
                 ..*self
             }
         } else {
             *self
         };
-        let per_site = super::sweep::for_each_site(workers, sites.len(), |i| {
+        let per_site = crate::par_claim(workers, sites.len(), |i| {
             let site = &sites[i];
             let mut nodes = platform.nodes_on_site(site.id);
             if nodes.len() < candidates.len() + 1 {
@@ -1979,7 +1952,7 @@ mod tests {
                     .unwrap();
                 let exact = SweepPlanner {
                     coarsen: Some(false),
-                    parallel: false,
+                    threads: Some(1),
                     ..SweepPlanner::default()
                 }
                 .family_objective(platform, mix, objective)
@@ -2074,12 +2047,12 @@ mod tests {
             SweepPlanner::sequential(),
             SweepPlanner {
                 coarsen: Some(true),
-                parallel: false,
+                threads: Some(1),
                 ..SweepPlanner::default()
             },
             SweepPlanner {
                 coarsen: Some(false),
-                parallel: false,
+                threads: Some(1),
                 ..SweepPlanner::default()
             },
         ] {
@@ -2098,8 +2071,8 @@ mod tests {
                 assert!(!stats.truncated, "no budget was set");
             }
         }
-        // The parallel path sums worker-local stats to the same
-        // invariant (counts are scan-order-independent u64 sums).
+        // The parallel path sums per-k stats to the same invariant
+        // (the counts themselves vary with the schedule, see SweepStats).
         let platform = heterogenized_cluster(
             "orsay",
             90,
@@ -2117,36 +2090,47 @@ mod tests {
 
     /// The anytime knob (satellite): a zero budget truncates
     /// immediately and falls back to the warm seed — still a valid
-    /// plan — while no budget never reports truncation.
+    /// plan — while no budget never reports truncation. Covers the
+    /// sequential fold and the threaded grid walk (80 nodes crosses
+    /// `PARALLEL_THRESHOLD`, below which the worker count is 1).
     #[test]
     fn time_budget_truncates_to_a_valid_best_so_far() {
-        let platform = lyon_cluster(40);
         let mix = mix3();
-        let (plan, stats) = SweepPlanner {
-            time_budget: Some(Duration::ZERO),
-            parallel: false,
-            ..SweepPlanner::default()
-        }
-        .best_mix_plan_stats(&platform, &mix, MixObjective::WeightedMin)
-        .unwrap();
-        assert!(stats.truncated, "a zero budget must truncate");
-        assert!(plan.objective_value > 0.0);
-        assert!(validate_relaxed(&plan.plan).is_empty());
-        assert!(validate_assignment(&plan.plan, &plan.assignment.service_of, mix.len()).is_empty());
-        // The fallback is exactly the warm seed's quality or better.
-        let heur = MixPlanner::default()
-            .plan_mix_unbounded(&platform, &mix)
-            .unwrap();
-        assert!(
-            plan.objective_value >= heur.objective_value * (1.0 - 1e-9),
-            "truncated sweep {} below the warm seed {}",
-            plan.objective_value,
-            heur.objective_value
-        );
-        let (_, stats) = SweepPlanner::sequential()
+        for (platform, threads) in [(lyon_cluster(40), 1usize), (lyon_cluster(80), 3)] {
+            let (plan, stats) = SweepPlanner {
+                time_budget: Some(Duration::ZERO),
+                threads: Some(threads),
+                ..SweepPlanner::default()
+            }
             .best_mix_plan_stats(&platform, &mix, MixObjective::WeightedMin)
             .unwrap();
-        assert!(!stats.truncated, "no budget, no truncation");
+            assert!(
+                stats.truncated,
+                "threads={threads}: a zero budget must truncate"
+            );
+            assert!(plan.objective_value > 0.0);
+            assert!(validate_relaxed(&plan.plan).is_empty());
+            assert!(
+                validate_assignment(&plan.plan, &plan.assignment.service_of, mix.len()).is_empty()
+            );
+            // The fallback is exactly the warm seed's quality or better.
+            let heur = MixPlanner::default()
+                .plan_mix_unbounded(&platform, &mix)
+                .unwrap();
+            assert!(
+                plan.objective_value >= heur.objective_value * (1.0 - 1e-9),
+                "threads={threads}: truncated sweep {} below the warm seed {}",
+                plan.objective_value,
+                heur.objective_value
+            );
+            let (_, stats) = SweepPlanner::with_threads(threads)
+                .best_mix_plan_stats(&platform, &mix, MixObjective::WeightedMin)
+                .unwrap();
+            assert!(
+                !stats.truncated,
+                "threads={threads}: no budget, no truncation"
+            );
+        }
     }
 
     /// Warm incumbents make the sweep a true upper envelope: it never

@@ -3,11 +3,10 @@
 //!
 //! 1. the shared-incumbent protocol — `f64` objectives mapped through
 //!    the order-preserving `ordered_bits` into a single `AtomicU64`
-//!    advanced with `fetch_max` (`sweep_mix.rs`, and the per-`k` sweep
-//!    in `sweep.rs`), and
-//! 2. the `fetch_add` work-queue claim counter handing grid indices to
-//!    workers (`sweep.rs` `next.fetch_add(1)` / `next_k.fetch_add(1)`,
-//!    `sweep_mix.rs` `next_i`).
+//!    advanced with `fetch_max` (`sweep_mix.rs`), and
+//! 2. the `fetch_add` work-queue claim counter handing indices to
+//!    workers (`par.rs`, `par_claim`: the one claim loop every threaded
+//!    loop of the planners and the bench harness runs through).
 //!
 //! Each positive test explores *every* interleaving (and every weak-
 //! memory-legal load result) of a small instance of the kernel; a

@@ -166,9 +166,9 @@ pub mod prelude {
     pub use adept_core::model::mix::{MixReport, ServerAssignment};
     pub use adept_core::model::{IncrementalEval, ModelParams};
     pub use adept_core::planner::{
-        BalancedPlanner, EvalStrategy, HeuristicPlanner, HomogeneousCsdPlanner, MixObjective,
-        MixPlan, MixPlanner, MixReplan, OnlinePlanner, Planner, PlannerError, Rebalancer, Replan,
-        Revise, ReviseError, RoundRobinPlanner, StarPlanner, SweepPlanner, SweepStats, WarmCache,
+        BalancedPlanner, HeuristicPlanner, HomogeneousCsdPlanner, MixObjective, MixPlan,
+        MixPlanner, MixReplan, OnlinePlanner, Planner, PlannerError, Rebalancer, Replan, Revise,
+        ReviseError, RoundRobinPlanner, StarPlanner, SweepPlanner, SweepStats, WarmCache,
     };
     pub use adept_godiet::{
         DeployError, DeploymentReport, GoDiet, MigrationAction, MigrationReport, MigrationScript,
