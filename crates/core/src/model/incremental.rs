@@ -654,7 +654,7 @@ impl IncrementalEval {
 
     /// Second construction pass: installs every slot's cycle into the
     /// tournament tree in one batched sweep — the structure-of-arrays
-    /// role/power/degree lanes feed the [`batch`](super::batch) kernels
+    /// role/power/degree lanes feed the [`batch`] kernels
     /// in uniform mode (bit-exact with [`cycle_of`](Self::cycle_of)),
     /// and the tree is built bottom-up in O(n) instead of n root-walks.
     /// In site-aware mode it first accumulates every agent's child-link

@@ -33,10 +33,16 @@
 //! resolves them as follows, keeping the paper's documented *behaviour*
 //! (Table 4 and Section 5.3 shapes):
 //!
-//! * actions are compared by full model evaluation (Eq. 16) of the
-//!   resulting plan, and only strict improvements are committed — this
-//!   realizes both "throughput of the hierarchy starts decreasing" and the
-//!   least-resources preference;
+//! * the growth loop is [`MixPlanner`]'s, run on a one-service mix under
+//!   [`MixObjective::WeightedSum`]: with a single service of share 1
+//!   both objectives score exactly the Eq. 16 ρ, and weighted-sum
+//!   commits strict improvements only (more than 1e-9 relative) — this
+//!   realizes both "throughput of the hierarchy starts decreasing" and
+//!   the least-resources preference;
+//! * steps 3–7 need no branch of their own: when the root's scheduling
+//!   power at one child binds the seed pair, every attach lowers it
+//!   further and a conversion needs two servers, so the loop stops at
+//!   the pair;
 //! * conversion is evaluated with lookahead (convert **and** fill) before
 //!   being compared against plain attachment, mirroring the inner while
 //!   loop of steps 18–24;
@@ -49,40 +55,37 @@
 //!
 //! ## Probe cost
 //!
-//! Every growth step probes candidate moves under the model, each as an
-//! O(log n) delta+undo on [`IncrementalEval`], which computes Eq. 16
-//! exactly; the deployment is realized into a tree once, at the end.
-//! This module's tests keep a growth loop that clones the plan and
-//! re-runs Eq. 13–16 from scratch per probe, O(n), as the reference:
-//! the planner must commit the same moves, so both plans' ρ agree to
-//! 1e-9 relative.
+//! The deployment lives inside an
+//! [`IncrementalEval`](crate::model::IncrementalEval), which computes
+//! Eq. 16 exactly, and is realized into a tree once, at the end. An
+//! attach probe is analytic: one O(log n) child-slot delta and undo
+//! prices the scheduling effect, and the new Eq. 15 rate is read in
+//! O(1), bit-identical to applying the attach. A conversion is a batch
+//! of deltas, committed or unwound as a whole. This module's tests keep
+//! a growth loop that clones the plan and re-runs Eq. 13–16 from scratch
+//! per probe, O(n), as the reference: the planner must commit the same
+//! moves, so both plans' ρ agree to 1e-9 relative.
 //!
 //! ## Heterogeneous communication
 //!
 //! On a multi-site platform (per-site-pair network, site-aware pricing
 //! on) the growth loop runs on the site-aware engine: attach targets are
 //! ranked by **(power, link) jointly** — the full post-attach cycle
-//! including the real agent↔candidate link — instead of power alone, and
-//! `shift_nodes` conversions steal concrete children so every moved link
-//! is priced at its true bandwidth. The `hetero_scaling` bench and
+//! including the real agent↔candidate link — instead of power alone, the
+//! attach probe prices the new server↔parent link, and `shift_nodes`
+//! conversions steal concrete children so every moved link is priced at
+//! its true bandwidth. The `hetero_scaling` bench and
 //! `site_aware_heuristic_beats_min_b_scalarization_across_sites` pin the
 //! quality gap over the historical min-bandwidth scalarization (force it
 //! back with [`ModelParams::scalarized`] as the `params` override).
 
-// audit: allow-file(unwrap, "heuristic builder invariants documented in each
-// expect; the Table 4 parity suite covers the build paths")
-use super::realize::{best_attach_agent_site_aware, realize_from_eval, AttachHeap};
-use super::{improve, resolve_params, Planner, PlannerError};
-use crate::model::batch;
-use crate::model::throughput::{hier_ser_pow, sch_pow};
-use crate::model::{IncrementalEval, ModelParams};
-use adept_hierarchy::{DeploymentPlan, Slot};
+use super::mix::{MixObjective, MixPlanner};
+use super::realize::realize_from_eval;
+use super::{improve, resolve_params, single_demand, Planner, PlannerError};
+use crate::model::{batch, ModelParams};
+use adept_hierarchy::DeploymentPlan;
 use adept_platform::{NodeId, Platform};
-use adept_workload::{ClientDemand, ServiceSpec};
-
-/// Relative tolerance for "strictly better" comparisons; keeps the greedy
-/// from oscillating on floating-point noise.
-const EPS: f64 = 1e-9;
+use adept_workload::{ClientDemand, ServiceMix, ServiceSpec};
 
 /// The paper's heterogeneous deployment heuristic (Algorithm 1).
 #[derive(Debug, Clone, Copy)]
@@ -136,7 +139,7 @@ impl HeuristicPlanner {
     /// ([`batch::sch_pow_shared_degree_into`]) — the shared degree makes
     /// the per-node work one vectorized division — and the sort runs on
     /// integer keys ([`batch::sort_rate_desc_id_asc`]).
-    pub fn sorted_nodes(params: &ModelParams, platform: &Platform) -> Vec<NodeId> {
+    pub(crate) fn sorted_nodes(params: &ModelParams, platform: &Platform) -> Vec<NodeId> {
         let d = platform.node_count().saturating_sub(1).max(1);
         let powers: Vec<f64> = platform.nodes().iter().map(|r| r.power.value()).collect();
         let mut rates = Vec::new();
@@ -149,210 +152,6 @@ impl HeuristicPlanner {
         batch::sort_rate_desc_id_asc(&mut keyed);
         keyed.into_iter().map(|(_, id)| id).collect()
     }
-}
-
-/// The agent of the engine that keeps the highest scheduling power after
-/// receiving one more child. Ties break toward the lower slot. Shared
-/// with the online re-planner.
-pub(crate) fn best_attach_agent_in_eval(params: &ModelParams, eval: &IncrementalEval) -> Slot {
-    eval.agents()
-        .max_by(|&a, &b| {
-            let pa = sch_pow(params, eval.power(a), eval.degree(a) + 1);
-            let pb = sch_pow(params, eval.power(b), eval.degree(b) + 1);
-            pa.partial_cmp(&pb)
-                .expect("rates are finite")
-                .then(b.cmp(&a))
-        })
-        .expect("plans always contain the root agent")
-}
-
-/// [`best_attach_agent_in_eval`] for a child living on `child_site`: on
-/// a site-aware evaluator this is [`best_attach_agent_site_aware`]'s
-/// joint (power, link) ranking instead of power alone. Shared with the
-/// online re-planner.
-pub(crate) fn best_attach_agent_in_eval_for(
-    params: &ModelParams,
-    eval: &IncrementalEval,
-    child_site: adept_platform::SiteId,
-) -> Slot {
-    if !eval.is_site_aware() {
-        return best_attach_agent_in_eval(params, eval);
-    }
-    best_attach_agent_site_aware(eval, child_site)
-}
-
-/// The `shift_nodes` conversion as pure deltas on the incremental engine:
-/// promote the strongest server, rebalance degrees toward the enlarged
-/// agent set, then grow servers from `queue` while ρ improves.
-///
-/// The rebalance is itself incremental: the pre-conversion degrees are
-/// already the greedy max-min waterfill of the old agent set (every
-/// attach went to the argmax-`sch_pow` agent), and enlarging the set by
-/// one agent only ever *moves children into the newcomer* — each step
-/// takes a child from the currently binding (lowest `sch_pow`) agent as
-/// long as the newcomer's post-move power exceeds that minimum. That is
-/// O((n/k) log k) instead of re-waterfilling all n children.
-///
-/// On acceptance (`ρ` strictly beats `current`) the deltas are committed
-/// and `Some(consumed, rho)` returns; otherwise every delta is undone and
-/// `None` returns, leaving the engine bit-identical to its input state.
-/// Throughput under Eq. 13–16 depends only on the role/degree/power
-/// multiset, so never materializing a tree — the O(n) realize+rebuild
-/// that used to dominate the growth loop — cannot change ρ.
-#[allow(clippy::too_many_arguments)] // a probe needs the whole growth-loop state
-fn try_conversion_deltas(
-    params: &ModelParams,
-    platform: &Platform,
-    eval: &mut IncrementalEval,
-    demand: ClientDemand,
-    queue: &std::collections::VecDeque<NodeId>,
-    current: f64,
-    attach_heap: &mut AttachHeap,
-    victim: Slot,
-    server_order: &mut Vec<Slot>,
-) -> Option<(usize, f64)> {
-    debug_assert_eq!(eval.pending_deltas(), 0, "probe from a committed state");
-
-    if eval.server_count() < 2 {
-        return None;
-    }
-    debug_assert_eq!(
-        Some(victim),
-        eval.servers().max_by(|&a, &b| {
-            let pa = eval.power(a).value();
-            let pb = eval.power(b).value();
-            pa.partial_cmp(&pb)
-                .expect("powers are finite")
-                .then_with(|| eval.node(b).cmp(&eval.node(a)))
-        }),
-        "victim must be the strongest server (lowest node id on ties)"
-    );
-
-    // Promote + steal-rebalance (shared with the mix planner's
-    // conversion; bails out with all deltas unwound when the conversion
-    // cannot keep every level populated).
-    if !super::realize::promote_and_steal(params, eval, victim) {
-        return None;
-    }
-
-    // Grow servers under the rebalanced hierarchy while ρ improves (the
-    // inner while of steps 18–24), all still on the delta stack.
-    attach_heap.rebuild(params, eval);
-    let mut rho = eval.rho();
-    let mut consumed = 0usize;
-    while let Some(&more) = queue.get(consumed) {
-        if demand.satisfied_by(rho) {
-            break;
-        }
-        let agent = attach_heap.best_for(params, eval, platform.site_of(more));
-        let slot = eval
-            .add_server(agent, more, platform.power(more))
-            .expect("queue nodes are unused");
-        let grown_rho = eval.rho();
-        if grown_rho > rho * (1.0 + EPS) {
-            rho = grown_rho;
-            consumed += 1;
-            attach_heap.update(params, eval, agent);
-            server_order.push(slot);
-        } else {
-            eval.undo();
-            break;
-        }
-    }
-
-    if rho > current * (1.0 + EPS) {
-        eval.commit();
-        attach_heap.rebuild(params, eval);
-        Some((consumed, rho))
-    } else {
-        eval.undo_all();
-        server_order.truncate(server_order.len() - consumed);
-        attach_heap.rebuild(params, eval);
-        None
-    }
-}
-
-/// The greedy growth loop on the incremental engine: the deployment lives
-/// entirely inside [`IncrementalEval`] (roles, degrees, powers — all the
-/// model sees) and is realized into a tree exactly once, at the end.
-/// Attach probes are O(log n) delta+undo; conversions are delta batches
-/// ([`try_conversion_deltas`]).
-fn grow_incremental(
-    params: &ModelParams,
-    platform: &Platform,
-    service: &ServiceSpec,
-    demand: ClientDemand,
-    seed: DeploymentPlan,
-    mut queue: std::collections::VecDeque<NodeId>,
-    allow_conversion: bool,
-) -> DeploymentPlan {
-    let mut eval = IncrementalEval::from_plan(params, platform, &seed, service);
-    let mut current = eval.rho();
-    let mut attach_heap = AttachHeap::new(params, &eval);
-    // Servers in attachment order. The queue is power-descending, so the
-    // strongest remaining server is always the earliest entry that has
-    // not yet been promoted — conversion victims are read off the front
-    // instead of scanning every slot.
-    let mut server_order: Vec<Slot> = vec![Slot(1)]; // the seed pair's server
-    let mut next_victim = 0usize;
-
-    while !queue.is_empty() && !demand.satisfied_by(current) {
-        let next_node = *queue.front().expect("queue checked non-empty");
-
-        // Preferred action: plain attachment (steps 19–23's "take next
-        // node from sorted_nodes[] as a server"). While this improves,
-        // conversion is never cheaper in resources, so commit directly.
-        // Site-aware platforms rank the attach target by (power, link)
-        // jointly — see `AttachHeap::best_for`.
-        let agent = attach_heap.best_for(params, &eval, platform.site_of(next_node));
-        let slot = eval
-            .add_server(agent, next_node, platform.power(next_node))
-            .expect("queue nodes are unused");
-        let attach_rho = eval.rho();
-        if attach_rho > current * (1.0 + EPS) {
-            eval.commit();
-            attach_heap.update(params, &eval, agent);
-            server_order.push(slot);
-            current = attach_rho;
-            queue.pop_front();
-            continue;
-        }
-        eval.undo();
-
-        // Attachment stalled: the hierarchy is at its sched/service
-        // crossing. Try the shift_nodes conversion (steps 16–24) as a
-        // delta batch: promote the strongest server to an agent,
-        // redistribute the children over the enlarged agent set (the
-        // conversion is pointless if the binding agent keeps its degree
-        // — the paper's own Figure 6 deployment has root degree 9 on 200
-        // nodes, so shift_nodes necessarily rebalances), then grow
-        // servers under the new level while that improves (the inner
-        // while of steps 18–24). The whole batch is committed only if
-        // it strictly beats the pre-conversion hierarchy.
-        if allow_conversion && next_victim < server_order.len() {
-            let victim = server_order[next_victim];
-            if let Some((consumed, rho)) = try_conversion_deltas(
-                params,
-                platform,
-                &mut eval,
-                demand,
-                &queue,
-                current,
-                &mut attach_heap,
-                victim,
-                &mut server_order,
-            ) {
-                next_victim += 1;
-                current = rho;
-                for _ in 0..consumed {
-                    queue.pop_front();
-                }
-                continue;
-            }
-        }
-        break;
-    }
-    realize_from_eval(&eval)
 }
 
 impl Planner for HeuristicPlanner {
@@ -379,35 +178,25 @@ impl Planner for HeuristicPlanner {
                 available: n,
             });
         }
+        let mix_demand = single_demand(demand)?;
         let params = resolve_params(self.params, platform);
 
-        // Steps 1–2.
-        let sorted = Self::sorted_nodes(&params, platform);
-
-        // Steps 3–5.
-        let root = sorted[0];
-        let vir_max_sch_pow = sch_pow(&params, platform.power(root), 1);
-        let vir_max_ser_pow = hier_ser_pow(&params, service, [platform.power(sorted[1])]);
-        let min_ser_cv = vir_max_ser_pow.min(demand.rate());
-
-        let mut plan = DeploymentPlan::agent_server(root, sorted[1]);
-
-        // Steps 6–7: agent-limited even at one child.
-        if vir_max_sch_pow < min_ser_cv {
-            return Ok(plan);
-        }
-
-        // Steps 9–39: greedy growth.
-        let queue: std::collections::VecDeque<NodeId> = sorted[2..].iter().copied().collect();
-        plan = grow_incremental(
-            &params,
-            platform,
-            service,
-            demand,
-            plan,
-            queue,
-            self.allow_conversion,
-        );
+        // Steps 1–39 on the mix planner's loop. Weighted-sum, because with
+        // one service (share 1) both objectives score exactly ρ, and only
+        // weighted-sum accepts strict improvements alone — Algorithm 1's
+        // rule; weighted-min's plateau step, meant for joint minima across
+        // services, would accept an attach gaining less than 1e-9 here.
+        let grower = MixPlanner {
+            objective: MixObjective::WeightedSum,
+            allow_conversion: self.allow_conversion,
+            ..MixPlanner::default()
+        };
+        // Steps 3–7 need no branch: when they apply, scheduling binds the
+        // seed pair, every attach lowers it, and a conversion needs two
+        // servers — so the loop stops at the pair.
+        let mix = ServiceMix::single(service.clone());
+        let eval = grower.grow(&params, platform, &mix, &mix_demand, &[0]);
+        let mut plan = realize_from_eval(&eval);
 
         // Extension: the [7] bottleneck-removal repair pass.
         if self.rebalance {
@@ -420,11 +209,17 @@ impl Planner for HeuristicPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::throughput::{hier_ser_pow, sch_pow};
     use adept_hierarchy::validate::validate_relaxed;
+    use adept_hierarchy::Slot;
     use adept_platform::generator::{heterogenized_cluster, lyon_cluster};
     use adept_platform::{BackgroundLoad, CapacityProbe, MflopRate};
     use adept_workload::Dgemm;
     use std::collections::HashSet;
+
+    /// Relative tolerance for "strictly better" comparisons in the
+    /// reference growth loop.
+    const EPS: f64 = 1e-9;
 
     fn rho_of(platform: &Platform, plan: &DeploymentPlan, svc: &ServiceSpec) -> f64 {
         ModelParams::from_platform(platform)
@@ -823,32 +618,70 @@ mod tests {
         // The planner and the reference may realize differently-shaped
         // (but throughput-identical) trees; resource usage and the
         // achieved rate must match.
-        let platform = lyon_cluster(30);
-        let svc = Dgemm::new(1000).service();
-        for target in [0.5, 1.0, 3.0] {
-            let inc = HeuristicPlanner::paper()
-                .plan(&platform, &svc, ClientDemand::target(target))
+        fn assert_agree(
+            planner: HeuristicPlanner,
+            platform: &Platform,
+            svc: &ServiceSpec,
+            target: f64,
+            case: &str,
+        ) {
+            let inc = planner
+                .plan(platform, svc, ClientDemand::target(target))
                 .unwrap();
-            let full = plan_full_clone(
-                HeuristicPlanner::paper(),
-                &platform,
-                &svc,
-                ClientDemand::target(target),
-            );
-            assert_eq!(inc.len(), full.len(), "target {target}: node counts");
+            let full = plan_full_clone(planner, platform, svc, ClientDemand::target(target));
+            let case = format!("{case} {} target {target}", planner.name());
+            assert_eq!(inc.len(), full.len(), "{case}: node counts");
             assert_eq!(
                 inc.agent_count(),
                 full.agent_count(),
-                "target {target}: agent counts"
+                "{case}: agent counts"
             );
-            let (ri, rf) = (
-                rho_of(&platform, &inc, &svc),
-                rho_of(&platform, &full, &svc),
-            );
+            let (ri, rf) = (rho_of(platform, &inc, svc), rho_of(platform, &full, svc));
             assert!(
                 (ri - rf).abs() <= 1e-9 * rf.max(1.0),
-                "target {target}: rho {ri} vs {rf}"
+                "{case}: rho {ri} vs {rf}"
             );
+        }
+
+        let lyon = lyon_cluster(30);
+        let svc = Dgemm::new(1000).service();
+        for target in [0.5, 1.0, 3.0] {
+            assert_agree(
+                HeuristicPlanner::paper(),
+                &lyon,
+                &svc,
+                target,
+                "lyon dgemm-1000",
+            );
+        }
+        // Targets at fractions of the unbounded rate stop the growth loop
+        // part-way, for every DGEMM size and planner configuration.
+        let hetero = heterogenized_cluster(
+            "orsay",
+            55,
+            MflopRate(400.0),
+            BackgroundLoad::default(),
+            CapacityProbe::exact(),
+            13,
+        );
+        for (name, platform) in [("lyon", &lyon), ("hetero", &hetero)] {
+            for size in [10u32, 100, 310, 1000] {
+                let svc = Dgemm::new(size).service();
+                let unbounded = HeuristicPlanner::paper()
+                    .plan(platform, &svc, ClientDemand::Unbounded)
+                    .unwrap();
+                let rho = rho_of(platform, &unbounded, &svc);
+                for fraction in [0.25, 0.5, 0.95] {
+                    for planner in [
+                        HeuristicPlanner::paper(),
+                        HeuristicPlanner::with_rebalance(),
+                        HeuristicPlanner::without_conversion(),
+                    ] {
+                        let case = format!("{name} dgemm-{size}");
+                        assert_agree(planner, platform, &svc, fraction * rho, &case);
+                    }
+                }
+            }
         }
     }
 

@@ -39,6 +39,9 @@
 //! least-resources rule, per service), when nodes run out, or when
 //! neither attachment nor a `shift_nodes`-style conversion improves the
 //! objective.
+//!
+//! This loop is the only implementation of Algorithm 1's growth:
+//! [`HeuristicPlanner`] runs it on a one-service mix.
 
 // audit: allow-file(unwrap, "mix planner invariants documented in each expect; the
 // mix parity tests exercise the build")
@@ -193,83 +196,8 @@ impl MixPlanner {
             });
         }
         let params = resolve_params(self.params, platform);
-        let sorted = HeuristicPlanner::sorted_nodes(&params, platform);
-
-        // Seed: the strongest node roots the tree; each demanded service
-        // receives one seed server (strongest remaining nodes) — the mix
-        // counterpart of Algorithm 1's steps 3–5 minimal deployment.
-        let mut eval = IncrementalEval::from_agents_mix(&params, platform, &[sorted[0]], mix);
-        let mut server_order: Vec<Slot> = Vec::new();
-        let mut idx = 1usize;
-        for &j in &candidates {
-            let node = sorted[idx];
-            let slot = eval
-                .add_server_for(Slot(0), node, platform.power(node), j)
-                .expect("seed nodes are unused");
-            server_order.push(slot);
-            idx += 1;
-        }
-        eval.commit();
-
-        // Greedy growth (Algorithm 1 steps 9–39, mix objective).
-        let mut queue: VecDeque<NodeId> = sorted[idx..].iter().copied().collect();
-        let mut heap = AttachHeap::new(&params, &eval);
+        let eval = self.grow(&params, platform, mix, demand, &candidates);
         let mut current = objective_score(self.objective, &eval);
-        let mut next_victim = 0usize;
-
-        while !queue.is_empty() && !demand_met(&eval, demand) {
-            let node = *queue.front().expect("queue checked non-empty");
-            let power = platform.power(node);
-            let site = platform.site_of(node);
-
-            let agent = heap.best_for(&params, &eval, site);
-            let service_min = eval.rho_service();
-            let choice =
-                best_attach_service(&mut eval, agent, power, site, self.objective, &candidates);
-            if accept_growth(self.objective, &choice, current, service_min) {
-                let slot = eval
-                    .add_server_for(agent, node, power, choice.service)
-                    .expect("queue nodes are unused");
-                debug_assert_eq!(
-                    choice.score.to_bits(),
-                    objective_score(self.objective, &eval).to_bits(),
-                    "the analytic probe must equal the applied delta"
-                );
-                eval.commit();
-                heap.update(&params, &eval, agent);
-                server_order.push(slot);
-                current = choice.score;
-                queue.pop_front();
-                continue;
-            }
-
-            // Attachment stalled at the sched/service crossing: try the
-            // shift_nodes conversion on the strongest unpromoted server.
-            if self.allow_conversion && next_victim < server_order.len() {
-                let victim = server_order[next_victim];
-                if let Some((consumed, sc)) = try_conversion_mix(
-                    &params,
-                    platform,
-                    &mut eval,
-                    demand,
-                    &queue,
-                    current,
-                    &mut heap,
-                    victim,
-                    &mut server_order,
-                    self.objective,
-                    &candidates,
-                ) {
-                    next_victim += 1;
-                    current = sc;
-                    for _ in 0..consumed {
-                        queue.pop_front();
-                    }
-                    continue;
-                }
-            }
-            break;
-        }
 
         let plan = realize_from_eval(&eval);
         let mut assignment = ServerAssignment::default();
@@ -306,6 +234,100 @@ impl MixPlanner {
             report,
             objective_value: current,
         })
+    }
+
+    /// Algorithm 1's greedy growth under this planner's objective — the
+    /// seed, the attach loop and the `shift_nodes` conversions — returning
+    /// the committed engine for the caller to realize. Needs
+    /// `1 + candidates.len()` nodes. [`HeuristicPlanner`] runs it on a
+    /// one-service mix.
+    pub(crate) fn grow(
+        &self,
+        params: &ModelParams,
+        platform: &Platform,
+        mix: &ServiceMix,
+        demand: &MixDemand,
+        candidates: &[usize],
+    ) -> IncrementalEval {
+        let sorted = HeuristicPlanner::sorted_nodes(params, platform);
+
+        // Seed: the strongest node roots the tree; each demanded service
+        // receives one seed server (strongest remaining nodes) — the mix
+        // counterpart of Algorithm 1's steps 3–5 minimal deployment.
+        let mut eval = IncrementalEval::from_agents_mix(params, platform, &[sorted[0]], mix);
+        let mut server_order: Vec<Slot> = Vec::new();
+        let mut idx = 1usize;
+        for &j in candidates {
+            let node = sorted[idx];
+            let slot = eval
+                .add_server_for(Slot(0), node, platform.power(node), j)
+                .expect("seed nodes are unused");
+            server_order.push(slot);
+            idx += 1;
+        }
+        eval.commit();
+
+        // Greedy growth (Algorithm 1 steps 9–39, mix objective).
+        let mut queue: VecDeque<NodeId> = sorted[idx..].iter().copied().collect();
+        let mut heap = AttachHeap::new(params, &eval);
+        let mut current = objective_score(self.objective, &eval);
+        let mut next_victim = 0usize;
+
+        while !queue.is_empty() && !demand_met(&eval, demand) {
+            let node = *queue.front().expect("queue checked non-empty");
+            let power = platform.power(node);
+            let site = platform.site_of(node);
+
+            let agent = heap.best_for(params, &eval, site);
+            let service_min = eval.rho_service();
+            let choice =
+                best_attach_service(&mut eval, agent, power, site, self.objective, candidates);
+            if accept_growth(self.objective, &choice, current, service_min) {
+                let slot = eval
+                    .add_server_for(agent, node, power, choice.service)
+                    .expect("queue nodes are unused");
+                debug_assert_eq!(
+                    choice.score.to_bits(),
+                    objective_score(self.objective, &eval).to_bits(),
+                    "the analytic probe must equal the applied delta"
+                );
+                eval.commit();
+                heap.update(params, &eval, agent);
+                server_order.push(slot);
+                current = choice.score;
+                queue.pop_front();
+                continue;
+            }
+
+            // Attachment stalled at the sched/service crossing: try the
+            // shift_nodes conversion on the strongest unpromoted server.
+            if self.allow_conversion && next_victim < server_order.len() {
+                let victim = server_order[next_victim];
+                if let Some((consumed, sc)) = try_conversion_mix(
+                    params,
+                    platform,
+                    &mut eval,
+                    demand,
+                    &queue,
+                    current,
+                    &mut heap,
+                    victim,
+                    &mut server_order,
+                    self.objective,
+                    candidates,
+                ) {
+                    next_victim += 1;
+                    current = sc;
+                    for _ in 0..consumed {
+                        queue.pop_front();
+                    }
+                    continue;
+                }
+            }
+            break;
+        }
+
+        eval
     }
 }
 

@@ -3,7 +3,8 @@
 //! * [`HeuristicPlanner`] — the paper's contribution (Section 4,
 //!   Algorithm 1): greedy construction from nodes sorted by scheduling
 //!   power, with server→agent conversion (`shift_nodes`). Its growth
-//!   loop and the [`improve`] pass probe moves as O(log n) deltas on the
+//!   loop is [`MixPlanner`]'s, run on a one-service mix; that loop and
+//!   the [`improve`] pass probe moves as O(log n) deltas on the
 //!   incremental engine; clone-and-full-evaluate versions of both exist
 //!   only as the references of their parity tests.
 //! * [`HomogeneousCsdPlanner`] — the authors' prior work \[10\]: the
@@ -57,7 +58,7 @@ pub use sweep_mix::{for_each_composition, SweepStats};
 use crate::model::ModelParams;
 use adept_hierarchy::DeploymentPlan;
 use adept_platform::Platform;
-use adept_workload::{ClientDemand, ServiceSpec};
+use adept_workload::{ClientDemand, MixDemand, ServiceSpec};
 use std::fmt;
 
 /// Errors raised by planners.
@@ -124,6 +125,16 @@ pub(crate) fn resolve_params(overridden: Option<ModelParams>, platform: &Platfor
     overridden.unwrap_or_else(|| ModelParams::from_platform(platform))
 }
 
+/// The one-service [`MixDemand`] of a [`ClientDemand`]: `Target(0.0)` is
+/// met by any deployment and `Target(∞)` is unbounded.
+///
+/// # Errors
+/// [`PlannerError::InvalidConfig`] for a NaN or negative target rate.
+pub(crate) fn single_demand(demand: ClientDemand) -> Result<MixDemand, PlannerError> {
+    MixDemand::try_targets(vec![demand.rate()])
+        .map_err(|e| PlannerError::InvalidConfig(e.to_string()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,5 +149,49 @@ mod tests {
         assert!(PlannerError::InvalidConfig("x".into())
             .to_string()
             .contains("invalid planner config"));
+    }
+
+    #[test]
+    fn malformed_client_demand_is_a_typed_error() {
+        use adept_platform::generator::lyon_cluster;
+        use adept_workload::Dgemm;
+        let platform = lyon_cluster(20);
+        let svc = Dgemm::new(1000).service();
+        let running = HeuristicPlanner::paper()
+            .plan(&platform, &svc, ClientDemand::Unbounded)
+            .unwrap();
+        for rate in [f64::NAN, -1.0] {
+            let demand = ClientDemand::Target(rate);
+            assert!(
+                matches!(
+                    HeuristicPlanner::paper().plan(&platform, &svc, demand),
+                    Err(PlannerError::InvalidConfig(_))
+                ),
+                "heuristic, target {rate}"
+            );
+            assert!(
+                matches!(
+                    OnlinePlanner::default().revise(&platform, &running, &svc, demand),
+                    Err(ReviseError::Planner(PlannerError::InvalidConfig(_)))
+                ),
+                "online, target {rate}"
+            );
+        }
+        // A zero target is met by any deployment: the heuristic stops at
+        // the seed pair and the reviser only shrinks.
+        let zero = ClientDemand::Target(0.0);
+        let seed = HeuristicPlanner::paper()
+            .plan(&platform, &svc, zero)
+            .unwrap();
+        assert_eq!((seed.agent_count(), seed.server_count()), (1, 1));
+        let shrunk = OnlinePlanner::default()
+            .revise(&platform, &running, &svc, zero)
+            .unwrap();
+        assert!(shrunk.plan.server_count() < running.server_count());
+        // An infinite target is unbounded.
+        let unbounded = HeuristicPlanner::paper()
+            .plan(&platform, &svc, ClientDemand::Target(f64::INFINITY))
+            .unwrap();
+        assert!(unbounded.structurally_eq(&running));
     }
 }

@@ -34,13 +34,14 @@
 // audit: allow-file(unwrap, "online engine: every escape is a documented-invariant
 // .expect on state this module itself maintains; the churn/replay parity tests
 // in this file exercise each path")
-use super::heuristic::best_attach_agent_in_eval_for;
 use super::mix::{
     accept_growth, best_attach_normalized, demand_met, normalized_min, normalized_service_min,
     AttachChoice, MixObjective,
 };
+use super::realize::best_attach_agent_site_aware;
 use super::revise::{drive, ReviseOps};
 use crate::model::mix::{MixReport, ServerAssignment};
+use crate::model::throughput::sch_pow;
 use crate::model::{IncrementalEval, ModelParams};
 use adept_hierarchy::{DeploymentPlan, PlanDiff, PlanError, Role, Slot};
 use adept_platform::{NodeId, Platform, SiteId};
@@ -70,6 +71,30 @@ fn grow_candidates(platform: &Platform, unused: &[NodeId], site_aware: bool) -> 
 
 /// Relative tolerance for strict-improvement acceptance.
 const EPS: f64 = 1e-9;
+
+/// The agent of the engine that keeps the highest scheduling power after
+/// receiving one more child living on `child_site`; ties break toward the
+/// lower slot. On a site-aware evaluator this is
+/// [`best_attach_agent_site_aware`]'s joint (power, link) ranking
+/// instead of power alone.
+fn best_attach_agent_in_eval_for(
+    params: &ModelParams,
+    eval: &IncrementalEval,
+    child_site: SiteId,
+) -> Slot {
+    if eval.is_site_aware() {
+        return best_attach_agent_site_aware(eval, child_site);
+    }
+    eval.agents()
+        .max_by(|&a, &b| {
+            let pa = sch_pow(params, eval.power(a), eval.degree(a) + 1);
+            let pb = sch_pow(params, eval.power(b), eval.degree(b) + 1);
+            pa.partial_cmp(&pb)
+                .expect("rates are finite")
+                .then(b.cmp(&a))
+        })
+        .expect("plans always contain the root agent")
+}
 
 /// Engine state preserved across revision rounds: the incremental
 /// evaluator (tournament tree + running sums) and the power-ordered
@@ -506,7 +531,10 @@ impl OnlinePlanner {
     ///
     /// # Panics
     /// Panics on a [`ClientDemand::Target`] rate that is negative or NaN
-    /// (see [`MixDemand::targets`]).
+    /// (see [`MixDemand::targets`]);
+    /// [`Revise::revise`](super::Revise::revise) returns
+    /// [`PlannerError::InvalidConfig`](super::PlannerError::InvalidConfig)
+    /// for it instead.
     pub fn replan(
         &self,
         platform: &Platform,

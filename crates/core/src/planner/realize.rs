@@ -57,11 +57,11 @@ impl PartialOrd for HeapEntry {
 
 /// Lazy max-heap over an [`IncrementalEval`]'s agents keyed by
 /// post-attachment scheduling power — replaces an O(k) scan with
-/// O(log k) amortized selection inside incremental growth loops (the
-/// heuristic's and the mix planner's). Entries go stale when an agent's
-/// degree changes; [`AttachHeap::best`] discards and re-keys stale tops
-/// lazily, so selection (max `sp_after`, ties to the lower slot) is
-/// identical to the scan's.
+/// O(log k) amortized selection inside the greedy growth loop
+/// (`MixPlanner::grow`, which the heuristic runs too). Entries go stale
+/// when an agent's degree changes; [`AttachHeap::best`] discards and
+/// re-keys stale tops lazily, so selection (max `sp_after`, ties to the
+/// lower slot) is identical to the scan's.
 pub(crate) struct AttachHeap {
     heap: std::collections::BinaryHeap<HeapEntry>,
 }
@@ -145,13 +145,14 @@ impl AttachHeap {
 }
 
 /// The one site-aware attach ranking, shared by [`AttachHeap::best_for`]
-/// and the online replanner's `best_attach_agent_in_eval_for`: the agent
-/// minimizing its full post-attach cycle for a child living on
-/// `child_site` — parent link + child-link running sum + the real
-/// agent↔child link + Eq. 5 — so (power, link) are judged **jointly**;
-/// a strong agent behind a slow WAN loses to a weaker local one once the
-/// link dominates. O(k) over the current agents; ties resolve to the
-/// lower slot, matching the uniform heap rule.
+/// and the private `best_attach_agent_in_eval_for` of the online
+/// replanner ([`online`](super::online)): the agent minimizing its full
+/// post-attach cycle for a child living on `child_site` — parent link +
+/// child-link running sum + the real agent↔child link + Eq. 5 — so
+/// (power, link) are judged **jointly**; a strong agent behind a slow
+/// WAN loses to a weaker local one once the link dominates. O(k) over
+/// the current agents; ties resolve to the lower slot, matching the
+/// uniform heap rule.
 pub(crate) fn best_attach_agent_site_aware(eval: &IncrementalEval, child_site: SiteId) -> Slot {
     debug_assert!(eval.is_site_aware(), "uniform evaluators use the heap");
     eval.agents()
@@ -166,12 +167,13 @@ pub(crate) fn best_attach_agent_site_aware(eval: &IncrementalEval, child_site: S
 }
 
 /// The structural stage of a `shift_nodes` conversion, shared by the
-/// single-service heuristic and the mix planner: promotes `victim` to an
-/// agent, then steal-rebalances children toward it — each step takes a
-/// child from the currently binding (lowest `sch_pow`) agent, found
-/// through a lazily re-keyed min-heap, as long as the newcomer's
-/// post-move power exceeds that minimum. All deltas stay on the
-/// engine's undo stack for the caller to commit or unwind.
+/// greedy growth loop (`MixPlanner::grow`) and the multi-site sweeps'
+/// phase 2: promotes `victim` to an agent, then steal-rebalances
+/// children toward it — each step takes a child from the currently
+/// binding (lowest `sch_pow`) agent, found through a lazily re-keyed
+/// min-heap, as long as the newcomer's post-move power exceeds that
+/// minimum. All deltas stay on the engine's undo stack for the caller
+/// to commit or unwind.
 ///
 /// On a site-aware evaluator the rebalance steals **concrete** children
 /// (the abstract degree shuffle cannot price the moved links): see
@@ -459,7 +461,7 @@ pub(crate) fn waterfill_degrees(
     degrees
 }
 
-/// Builds a tree over `agents` (agents[0] becomes the root) and `servers`
+/// Builds a tree over `agents` (`agents[0]` becomes the root) and `servers`
 /// with the given per-agent degrees. Degrees must sum to
 /// `agents.len() - 1 + servers.len()` and every agent must have degree ≥ 1.
 ///

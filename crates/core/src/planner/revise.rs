@@ -187,6 +187,8 @@ impl Revise for super::OnlinePlanner {
         service: &ServiceSpec,
         demand: ClientDemand,
     ) -> Result<Replan, ReviseError> {
+        // Validated first, so `replan` cannot panic on the demand.
+        super::single_demand(demand)?;
         Ok(self.replan(platform, running, service, demand))
     }
 

@@ -58,8 +58,17 @@
 //! saturates its share of the (only-ever-falling) scheduling rate,
 //! every larger count for it is dominated, which caps each composition
 //! digit near its saturation point instead of at `n`. See the
-//! `sweep_mix` module docs for the full argument. The multi-site
-//! phase 2 below is shared between both references.
+//! `sweep_mix` module docs for the full argument.
+//!
+//! **Multi-site platforms.** Both references run the same two phases:
+//! the per-site sweeps (`per_site_sweeps`: one site per task, each at
+//! its intra bandwidth) and the cross-site growth (`extend_across_sites`,
+//! scored by ρ or by the mix objective). Their scan cores stay separate:
+//! [`best_plan`](SweepPlanner::best_plan) steps the exact family with
+//! O(1) closed-form updates, while a one-service composition walk would
+//! grid `k` above `MIX_GRID_THRESHOLD` (96 nodes) and pay one engine
+//! delta per step — so the mix reference delegates one-candidate mixes
+//! to `best_plan`, bit for bit.
 
 // audit: allow-file(unwrap, "sweep engine invariants documented in each expect; the
 // Table 4 parity tests cover the walk")
@@ -539,39 +548,91 @@ impl SweepPlanner {
     /// The multi-site sweep family, keeping the reference quality bar
     /// meaningful under heterogeneous communication:
     ///
-    /// 1. **Per-site sweeps** — the full uniform sweep runs inside every
-    ///    site with `B` set to that site's intra bandwidth (links inside
-    ///    a site *are* uniform, so this stays the exact family search);
-    ///    each winner is re-scored under the per-link model and the best
-    ///    single-site deployment seeds phase 2.
-    /// 2. **Per-site sub-sweeps** — every site (the seed's included)
-    ///    grows server groups behind site-local mid-agents on the
-    ///    site-aware incremental engine, and may hold **multiple**
-    ///    mid-agents: each step commits the best strictly-improving
-    ///    move among attaching the next spare under any of the site's
-    ///    attach targets, opening a fresh mid-agent pair under the
-    ///    root, or promoting a spare into a steal-rebalanced mid that
-    ///    adopts children away from the binding agent (the sweep's
-    ///    `shift_nodes` counterpart, so growth continues past the
-    ///    sched/service crossing the single-mid family stalled at).
-    ///    Passes repeat until a full round adds nothing
-    ///    ([`extend_across_sites_engine`]); only the mid-agent↔root
+    /// 1. **Per-site sweeps** ([`per_site_sweeps`]) — the full uniform
+    ///    sweep runs inside every site with `B` set to that site's intra
+    ///    bandwidth (links inside a site *are* uniform, so this stays the
+    ///    exact family search); each winner is re-scored under the
+    ///    per-link model and the best single-site deployment seeds
+    ///    phase 2.
+    /// 2. **Per-site sub-sweeps** ([`extend_across_sites`]) — every site
+    ///    (the seed's included) grows server groups behind one or more
+    ///    site-local mid-agents on the site-aware incremental engine,
+    ///    committing the best strictly-improving attach, open or steal
+    ///    move until a full round adds nothing; only the mid-agent↔root
     ///    messages per request cross the WAN.
     ///
+    /// Both phases are shared with the mix reference's multi-site family.
     /// Falls back to the min-B scalarized sweep re-scored under the
     /// per-link model when no single site can seat two nodes.
+    ///
+    /// [`per_site_sweeps`]: SweepPlanner::per_site_sweeps
+    /// [`extend_across_sites`]: SweepPlanner::extend_across_sites
     fn best_plan_multi_site(
         &self,
         platform: &Platform,
         service: &ServiceSpec,
         params: &ModelParams,
     ) -> Result<(DeploymentPlan, f64), PlannerError> {
+        let wapp = service.wapp.value();
+        let per_site =
+            self.per_site_sweeps(platform, params, 2, wapp, |inner, site_params, nodes| {
+                let (plan, _) = inner
+                    .best_over_nodes(site_params, platform, service, nodes)
+                    .ok()?;
+                // Re-score under the per-link model (exact for a single-site
+                // plan unless a client site is declared elsewhere).
+                let rho = params.evaluate(platform, &plan, service).rho;
+                Some((plan, rho))
+            });
+        let mut best: Option<(DeploymentPlan, f64)> = None;
+        for (plan, rho) in per_site {
+            if best
+                .as_ref()
+                .is_none_or(|(_, cur)| rho > cur * (1.0 + TIE_EPS))
+            {
+                best = Some((plan, rho));
+            }
+        }
+        let Some((seed, _)) = best else {
+            // No site seats two nodes: sweep the scalarized family and
+            // re-score per-link.
+            let mut nodes = platform.ids_by_power_desc();
+            self.coarsen_nodes(params, platform, &mut nodes, wapp);
+            let (plan, _) = self.best_over_nodes(params, platform, service, &nodes)?;
+            let rho = params.evaluate(platform, &plan, service).rho;
+            return Ok((plan, rho));
+        };
+        let mut eval = IncrementalEval::from_plan(params, platform, &seed, service);
+        self.extend_across_sites(params, platform, &mut eval, seed.root(), &[0], wapp, |e| {
+            e.rho()
+        });
+        let rho = eval.rho();
+        Ok((super::realize::realize_from_eval(&eval), rho))
+    }
+
+    /// Phase 1 of both multi-site sweeps: runs `sweep` once per site that
+    /// holds at least `min_nodes` nodes, and returns the results that are
+    /// `Some`, in site order.
+    ///
+    /// `sweep` receives the inner planner, the site's model parameters
+    /// and the site's power-descending node list. The parameters price
+    /// every link at the site's intra bandwidth with `site_aware` off —
+    /// links inside a site are uniform — and the list is coarsened under
+    /// that model with `wapp_cap` (see [`coarsen_nodes`]). Sites run in
+    /// parallel, one per task; the inner planner then keeps its k-loop
+    /// sequential so the two levels do not multiply thread counts.
+    ///
+    /// [`coarsen_nodes`]: SweepPlanner::coarsen_nodes
+    pub(crate) fn per_site_sweeps<R: Send>(
+        &self,
+        platform: &Platform,
+        params: &ModelParams,
+        min_nodes: usize,
+        wapp_cap: f64,
+        sweep: impl Fn(&SweepPlanner, &ModelParams, &[NodeId]) -> Option<R> + Sync,
+    ) -> Vec<R> {
         let net = platform.network();
         let sites = platform.sites();
-        // Refine sites in parallel (each per-site sweep is independent);
-        // the k-loop inside each sweep then stays sequential so the two
-        // levels do not multiply thread counts. Results fold in ascending
-        // site order — identical to the sequential loop.
         let workers = self.worker_count(platform.node_count(), sites.len());
         let inner = if workers > 1 {
             SweepPlanner {
@@ -584,82 +645,231 @@ impl SweepPlanner {
         let per_site = crate::par_claim(workers, sites.len(), |i| {
             let site = &sites[i];
             let mut nodes = platform.nodes_on_site(site.id);
-            if nodes.len() < 2 {
+            if nodes.len() < min_nodes {
                 return None;
             }
             super::improve::by_power_desc(platform, &mut nodes);
             let site_params = ModelParams {
                 bandwidth: net.bandwidth_between(site.id, site.id),
+                site_aware: false,
                 ..*params
             };
             // Budget under the site's own bandwidth — the model this
             // site's sweep runs in. The scalarized min-B would deflate
             // the ρ cap and cut the list below the flat winner.
-            self.coarsen_nodes(&site_params, platform, &mut nodes, service.wapp.value());
-            let (plan, _) = inner
-                .best_over_nodes(&site_params, platform, service, &nodes)
-                .ok()?;
-            // Re-score under the per-link model (exact for a single-site
-            // plan unless a client site is declared elsewhere).
-            let rho = params.evaluate(platform, &plan, service).rho;
-            Some((plan, rho))
+            self.coarsen_nodes(&site_params, platform, &mut nodes, wapp_cap);
+            sweep(&inner, &site_params, &nodes)
         });
-        let mut best: Option<(DeploymentPlan, f64)> = None;
-        for (plan, rho) in per_site.into_iter().flatten() {
-            if best
-                .as_ref()
-                .is_none_or(|(_, cur)| rho > cur * (1.0 + TIE_EPS))
-            {
-                best = Some((plan, rho));
-            }
-        }
-        let Some((seed, _)) = best else {
-            // No site seats two nodes: sweep the scalarized family and
-            // re-score per-link.
-            let mut nodes = platform.ids_by_power_desc();
-            self.coarsen_nodes(params, platform, &mut nodes, service.wapp.value());
-            let (plan, _) = self.best_over_nodes(params, platform, service, &nodes)?;
-            let rho = params.evaluate(platform, &plan, service).rho;
-            return Ok((plan, rho));
-        };
-        Ok(self.extend_across_sites(platform, service, params, seed))
+        per_site.into_iter().flatten().collect()
     }
 
-    /// Phase 2 of the multi-site sweep: grow per-foreign-site server
-    /// groups on the site-aware incremental engine (see
-    /// [`best_plan_multi_site`](SweepPlanner::best_plan_multi_site)),
-    /// through the shared [`extend_across_sites_engine`] driver (the
-    /// mix-aware sweep reference reuses it with its own objective).
-    fn extend_across_sites(
+    /// Phase 2 of both multi-site sweeps: grows server groups behind
+    /// site-local mid-agents on the site-aware engine `eval`, whose tree
+    /// hangs off `root`.
+    ///
+    /// Every site may hold **multiple mid-agents**. Each step of a site's
+    /// sub-sweep probes every candidate move — attach the next spare
+    /// under *any* of the site's attach targets (the seed's own agents
+    /// count) for any of `candidates`, open a fresh mid-agent pair under
+    /// the root, or **convert** the site's strongest spare into a
+    /// mid-agent that steal-rebalances children away from the binding
+    /// agent ([`promote_and_steal`](super::realize::promote_and_steal))
+    /// — and commits the best one that raises `score` by more than
+    /// [`TIE_EPS`] relative. When no attachment helps, a conversion
+    /// relieves the bottleneck agent and re-opens attach headroom, as
+    /// Algorithm 1's `shift_nodes` does. Only the mid↔root messages
+    /// cross the WAN.
+    ///
+    /// `candidates` are the service indices a new server may host (`&[0]`
+    /// for a single-service evaluator); `score` is the objective (ρ, or a
+    /// mix objective). [`max_agents`] is honored across the open and
+    /// steal moves (phase 1 already respects it per site). Probes are
+    /// engine deltas undone before the next probe, so the evaluator is
+    /// bit-exactly unchanged on rejection.
+    ///
+    /// When coarsening is active for the largest site, every site's spare
+    /// pool is cut at its [`saturation_budget`] under `wapp_cap`, against
+    /// the **platform-wide** ρ cap (spares feed the global tree). Spares
+    /// are consumed strongest-first under strict improvement, so a budget
+    /// past the saturation point changes nothing; it only stops a
+    /// million-node site from materializing a million-entry pool.
+    /// `wapp_cap` should be the **largest** demanded service's, which
+    /// maximizes the budget.
+    ///
+    /// [`max_agents`]: SweepPlanner::max_agents
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn extend_across_sites(
         &self,
-        platform: &Platform,
-        service: &ServiceSpec,
         params: &ModelParams,
-        seed: DeploymentPlan,
-    ) -> (DeploymentPlan, f64) {
-        let mut eval = IncrementalEval::from_plan(params, platform, &seed, service);
+        platform: &Platform,
+        eval: &mut IncrementalEval,
+        root: Slot,
+        candidates: &[usize],
+        wapp_cap: f64,
+        score: impl Fn(&IncrementalEval) -> f64,
+    ) {
         debug_assert!(eval.is_site_aware());
+        debug_assert_eq!(eval.pending_deltas(), 0, "grow from a committed state");
         let largest_site = platform
             .sites()
             .iter()
             .map(|s| platform.nodes_on_site(s.id).len())
             .max()
             .unwrap_or(0);
-        let coarsen_wapp = self
-            .coarsen_active(largest_site)
-            .then(|| service.wapp.value());
-        extend_across_sites_engine(
-            params,
-            platform,
-            &mut eval,
-            seed.root(),
-            &[0],
-            self.max_agents,
-            coarsen_wapp,
-            |e| e.rho(),
-        );
-        let rho = eval.rho();
-        (super::realize::realize_from_eval(&eval), rho)
+        let agent_budget = self.max_agents.unwrap_or(usize::MAX);
+        let mut agent_count = eval.agents().count();
+        let strongest = self.coarsen_active(largest_site).then(|| {
+            platform
+                .nodes()
+                .iter()
+                .map(|n| n.power.value())
+                .fold(0.0f64, f64::max)
+        });
+        // Strongest-first spare nodes per site.
+        let mut spare: Vec<Vec<NodeId>> = platform
+            .sites()
+            .iter()
+            .map(|s| {
+                let mut v: Vec<NodeId> = platform
+                    .nodes_on_site(s.id)
+                    .into_iter()
+                    .filter(|&id| !eval.uses_node(id))
+                    .collect();
+                super::improve::by_power_desc(platform, &mut v);
+                if let Some(strongest) = strongest {
+                    // Budget under the site's intra bandwidth (a spare
+                    // attaches to a site-local mid), against the ρ cap the
+                    // platform's strongest node sets for the whole tree.
+                    let site_params = ModelParams {
+                        bandwidth: platform.network().bandwidth_between(s.id, s.id),
+                        ..*params
+                    };
+                    truncate_to_saturation_budget(
+                        &site_params,
+                        platform,
+                        &mut v,
+                        Some(strongest),
+                        wapp_cap,
+                    );
+                }
+                v.reverse(); // pop() takes the strongest
+                v
+            })
+            .collect();
+        // Attach targets per site: the seed's own agents count (a spare on
+        // the seed's site belongs under the existing tree, not behind a
+        // fresh root-level mid), plus every mid opened or converted below.
+        let mut mids: Vec<Vec<Slot>> = vec![Vec::new(); platform.site_count()];
+        for agent in eval.agents() {
+            mids[eval.site_of_slot(agent).index()].push(agent);
+        }
+        for _pass in 0..MAX_CROSS_SITE_PASSES {
+            let mut grew = false;
+            for site_idx in 0..platform.site_count() {
+                // The site's sub-sweep: commit best improving moves until
+                // none is left.
+                loop {
+                    let base = score(eval);
+                    let mut best: Option<(CrossSiteMove, f64)> = None;
+                    let consider = |mv: CrossSiteMove, sc: f64, best: &mut Option<_>| {
+                        if best.as_ref().is_none_or(|&(_, cur)| sc > cur) {
+                            *best = Some((mv, sc));
+                        }
+                    };
+                    if let Some(&node) = spare[site_idx].last() {
+                        let power = platform.power(node);
+                        for &mid in &mids[site_idx] {
+                            for &service in candidates {
+                                eval.add_server_for(mid, node, power, service)
+                                    .expect("spare nodes are unused");
+                                let sc = score(eval);
+                                eval.undo();
+                                consider(CrossSiteMove::Attach { mid, service }, sc, &mut best);
+                            }
+                        }
+                        if spare[site_idx].len() >= 2 && agent_count < agent_budget {
+                            let first = spare[site_idx][spare[site_idx].len() - 2];
+                            let first_power = platform.power(first);
+                            let mid = eval
+                                .add_server(root, node, power)
+                                .expect("spare nodes are unused");
+                            eval.promote_to_agent(mid).expect("just added");
+                            for &service in candidates {
+                                eval.add_server_for(mid, first, first_power, service)
+                                    .expect("spare nodes are unused");
+                                let sc = score(eval);
+                                eval.undo();
+                                consider(CrossSiteMove::Open { service }, sc, &mut best);
+                            }
+                            eval.undo_all(); // promote + mid add
+                        }
+                    }
+                    if let Some((mv, sc)) = best {
+                        if sc > base * (1.0 + TIE_EPS) {
+                            let node = *spare[site_idx].last().expect("probed a spare");
+                            let power = platform.power(node);
+                            match mv {
+                                CrossSiteMove::Attach { mid, service } => {
+                                    eval.add_server_for(mid, node, power, service)
+                                        .expect("probe just succeeded");
+                                    spare[site_idx].pop();
+                                }
+                                CrossSiteMove::Open { service } => {
+                                    let mid = eval
+                                        .add_server(root, node, power)
+                                        .expect("probe just succeeded");
+                                    eval.promote_to_agent(mid).expect("just added");
+                                    let first = spare[site_idx][spare[site_idx].len() - 2];
+                                    eval.add_server_for(mid, first, platform.power(first), service)
+                                        .expect("probe just succeeded");
+                                    mids[site_idx].push(mid);
+                                    agent_count += 1;
+                                    spare[site_idx].pop();
+                                    spare[site_idx].pop();
+                                }
+                            }
+                            eval.commit();
+                            grew = true;
+                            continue;
+                        }
+                    }
+                    // Attachment stalled: scheduling binds, so one more
+                    // server anywhere only hurts. Open a steal-rebalanced
+                    // mid instead — the site's strongest spare joins as an
+                    // agent and adopts children away from the binding agent
+                    // (`promote_and_steal`), relieving the bottleneck
+                    // without sacrificing any server's Eq. 15 capacity and
+                    // re-opening attach headroom for the next rounds.
+                    let steal_worked = match spare[site_idx].last() {
+                        Some(&node) if agent_count < agent_budget => {
+                            let mid = eval
+                                .add_server(root, node, platform.power(node))
+                                .expect("spare nodes are unused");
+                            // On failure promote_and_steal has already
+                            // unwound everything, the root attach included.
+                            super::realize::promote_and_steal(params, eval, mid).then_some(mid)
+                        }
+                        _ => None,
+                    };
+                    if let Some(mid) = steal_worked {
+                        let sc = score(eval);
+                        if sc > base * (1.0 + TIE_EPS) {
+                            eval.commit();
+                            mids[site_idx].push(mid);
+                            agent_count += 1;
+                            spare[site_idx].pop();
+                            grew = true;
+                            continue;
+                        }
+                        eval.undo_all();
+                    }
+                    break;
+                }
+            }
+            if !grew {
+                break;
+            }
+        }
     }
 }
 
@@ -673,209 +883,6 @@ enum CrossSiteMove {
     /// second spare as its first server for `service` — accepted only
     /// as a pair, since a bare agent level never helps.
     Open { service: usize },
-}
-
-/// Phase 2 of the multi-site sweeps, shared between the single-service
-/// and the mix-aware reference: per-site growth of server groups behind
-/// site-local mid-agents, on the (site-aware) incremental engine.
-///
-/// Unlike the original single-group phase, every site may hold
-/// **multiple mid-agents**: each step runs a per-site sub-sweep over
-/// all candidate moves — attach the next spare under *any* of the
-/// site's attach targets (the seed's own agents count, for any
-/// candidate service), open a fresh mid-agent pair under the root, or
-/// **convert** the site's strongest server into a mid-agent that
-/// steal-rebalances children away from the binding agent
-/// ([`promote_and_steal`]) — and commits the best strictly-improving
-/// one (`score` rises by more than [`TIE_EPS`] relative). A saturated
-/// tree therefore keeps growing past the sched/service crossing the
-/// single-mid phase stalled at: when no attachment helps, a conversion
-/// relieves the bottleneck agent and re-opens attach headroom, exactly
-/// as Algorithm 1's `shift_nodes` does for the heuristic. Only the
-/// mid↔root messages cross the WAN either way.
-///
-/// `candidates` are the service indices a new server may host (`&[0]`
-/// for a single-service evaluator); `score` is the objective the sweep
-/// maximizes (ρ, or a mix objective); `max_agents` is the planner's
-/// agent cap, honored across the Open/steal moves (phase 1 already
-/// respects it per site). Probes are engine deltas undone before the
-/// next probe, so the evaluator is bit-exactly unchanged on rejection.
-///
-/// `coarsen_wapp` — `Some(wapp)` bounds every site's spare pool at its
-/// [`saturation_budget`] (against the **platform-wide** ρ cap: spares
-/// feed the global tree, whose throughput the strongest node anywhere
-/// bounds). Spares are consumed strongest-first under strict
-/// improvement, so a budget past the saturation point changes nothing;
-/// it only stops a million-node site from materializing a million-entry
-/// pool. `None` keeps every spare (the exact flat behaviour). `wapp`
-/// should be the **largest** demanded service's, which maximizes the
-/// budget.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn extend_across_sites_engine(
-    params: &ModelParams,
-    platform: &Platform,
-    eval: &mut IncrementalEval,
-    root: Slot,
-    candidates: &[usize],
-    max_agents: Option<usize>,
-    coarsen_wapp: Option<f64>,
-    score: impl Fn(&IncrementalEval) -> f64,
-) {
-    debug_assert_eq!(eval.pending_deltas(), 0, "grow from a committed state");
-    let agent_budget = max_agents.unwrap_or(usize::MAX);
-    let mut agent_count = eval.agents().count();
-    let strongest = coarsen_wapp.map(|_| {
-        platform
-            .nodes()
-            .iter()
-            .map(|n| n.power.value())
-            .fold(0.0f64, f64::max)
-    });
-    // Strongest-first spare nodes per site.
-    let mut spare: Vec<Vec<NodeId>> = platform
-        .sites()
-        .iter()
-        .map(|s| {
-            let mut v: Vec<NodeId> = platform
-                .nodes_on_site(s.id)
-                .into_iter()
-                .filter(|&id| !eval.uses_node(id))
-                .collect();
-            super::improve::by_power_desc(platform, &mut v);
-            if let (Some(wapp), Some(strongest)) = (coarsen_wapp, strongest) {
-                // Budget under the site's intra bandwidth (a spare
-                // attaches to a site-local mid), against the ρ cap the
-                // platform's strongest node sets for the whole tree.
-                let site_params = ModelParams {
-                    bandwidth: platform.network().bandwidth_between(s.id, s.id),
-                    ..*params
-                };
-                truncate_to_saturation_budget(
-                    &site_params,
-                    platform,
-                    &mut v,
-                    Some(strongest),
-                    wapp,
-                );
-            }
-            v.reverse(); // pop() takes the strongest
-            v
-        })
-        .collect();
-    // Attach targets per site: the seed's own agents count (a spare on
-    // the seed's site belongs under the existing tree, not behind a
-    // fresh root-level mid), plus every mid opened or converted below.
-    let mut mids: Vec<Vec<Slot>> = vec![Vec::new(); platform.site_count()];
-    for agent in eval.agents() {
-        mids[eval.site_of_slot(agent).index()].push(agent);
-    }
-    for _pass in 0..MAX_CROSS_SITE_PASSES {
-        let mut grew = false;
-        for site_idx in 0..platform.site_count() {
-            // The site's sub-sweep: commit best improving moves until
-            // none is left.
-            loop {
-                let base = score(eval);
-                let mut best: Option<(CrossSiteMove, f64)> = None;
-                let consider = |mv: CrossSiteMove, sc: f64, best: &mut Option<_>| {
-                    if best.as_ref().is_none_or(|&(_, cur)| sc > cur) {
-                        *best = Some((mv, sc));
-                    }
-                };
-                if let Some(&node) = spare[site_idx].last() {
-                    let power = platform.power(node);
-                    for &mid in &mids[site_idx] {
-                        for &service in candidates {
-                            eval.add_server_for(mid, node, power, service)
-                                .expect("spare nodes are unused");
-                            let sc = score(eval);
-                            eval.undo();
-                            consider(CrossSiteMove::Attach { mid, service }, sc, &mut best);
-                        }
-                    }
-                    if spare[site_idx].len() >= 2 && agent_count < agent_budget {
-                        let first = spare[site_idx][spare[site_idx].len() - 2];
-                        let first_power = platform.power(first);
-                        let mid = eval
-                            .add_server(root, node, power)
-                            .expect("spare nodes are unused");
-                        eval.promote_to_agent(mid).expect("just added");
-                        for &service in candidates {
-                            eval.add_server_for(mid, first, first_power, service)
-                                .expect("spare nodes are unused");
-                            let sc = score(eval);
-                            eval.undo();
-                            consider(CrossSiteMove::Open { service }, sc, &mut best);
-                        }
-                        eval.undo_all(); // promote + mid add
-                    }
-                }
-                if let Some((mv, sc)) = best {
-                    if sc > base * (1.0 + TIE_EPS) {
-                        let node = *spare[site_idx].last().expect("probed a spare");
-                        let power = platform.power(node);
-                        match mv {
-                            CrossSiteMove::Attach { mid, service } => {
-                                eval.add_server_for(mid, node, power, service)
-                                    .expect("probe just succeeded");
-                                spare[site_idx].pop();
-                            }
-                            CrossSiteMove::Open { service } => {
-                                let mid = eval
-                                    .add_server(root, node, power)
-                                    .expect("probe just succeeded");
-                                eval.promote_to_agent(mid).expect("just added");
-                                let first = spare[site_idx][spare[site_idx].len() - 2];
-                                eval.add_server_for(mid, first, platform.power(first), service)
-                                    .expect("probe just succeeded");
-                                mids[site_idx].push(mid);
-                                agent_count += 1;
-                                spare[site_idx].pop();
-                                spare[site_idx].pop();
-                            }
-                        }
-                        eval.commit();
-                        grew = true;
-                        continue;
-                    }
-                }
-                // Attachment stalled: scheduling binds, so one more
-                // server anywhere only hurts. Open a steal-rebalanced
-                // mid instead — the site's strongest spare joins as an
-                // agent and adopts children away from the binding agent
-                // (`promote_and_steal`), relieving the bottleneck
-                // without sacrificing any server's Eq. 15 capacity and
-                // re-opening attach headroom for the next rounds.
-                let steal_worked = match spare[site_idx].last() {
-                    Some(&node) if agent_count < agent_budget => {
-                        let mid = eval
-                            .add_server(root, node, platform.power(node))
-                            .expect("spare nodes are unused");
-                        // On failure promote_and_steal has already
-                        // unwound everything, the root attach included.
-                        super::realize::promote_and_steal(params, eval, mid).then_some(mid)
-                    }
-                    _ => None,
-                };
-                if let Some(mid) = steal_worked {
-                    let sc = score(eval);
-                    if sc > base * (1.0 + TIE_EPS) {
-                        eval.commit();
-                        mids[site_idx].push(mid);
-                        agent_count += 1;
-                        spare[site_idx].pop();
-                        grew = true;
-                        continue;
-                    }
-                    eval.undo_all();
-                }
-                break;
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
 }
 
 /// Upper bound on phase-2 rounds over the sites: a later site's group can

@@ -107,14 +107,14 @@
 //!
 //! # Multi-site platforms
 //!
-//! On a heterogeneous network the reference follows the single-service
-//! multi-site sweep's two phases: per-site mix sweeps at each site's
-//! intra bandwidth (re-scored under the per-link model), then the
-//! shared cross-site growth phase
-//! ([`extend_across_sites_engine`](super::sweep)). Per-site stats are
-//! summed in site order; the warm seed (scored under the per-link
-//! model, hence not a sound incumbent for any single site's model)
-//! competes only in the final comparison.
+//! On a heterogeneous network the reference runs the single-service
+//! multi-site sweep's two phases, shared with it (see the
+//! [`sweep`](super::sweep) module docs): per-site mix sweeps at each
+//! site's intra bandwidth (re-scored under the per-link model), then
+//! the cross-site growth phase scored by the mix objective. Per-site
+//! stats are summed in site order; the warm seed (scored under the
+//! per-link model, hence not a sound incumbent for any single site's
+//! model) competes only in the final comparison.
 //!
 //! # Single-service parity
 //!
@@ -148,9 +148,7 @@
 // single-service parity and exhaustive composition tests cover the walk")
 use super::mix::{objective_score, MixObjective, MixPlan, MixPlanner};
 use super::realize::{realize_from_eval, HeapEntry};
-use super::sweep::{
-    extend_across_sites_engine, mix_wapp_cap, rho_cap_of, saturation_budget, SweepPlanner, TIE_EPS,
-};
+use super::sweep::{mix_wapp_cap, rho_cap_of, saturation_budget, SweepPlanner, TIE_EPS};
 use super::{resolve_params, PlannerError};
 use crate::model::mix::{partition_servers, ServerAssignment};
 use crate::model::throughput::sch_pow;
@@ -1289,62 +1287,37 @@ impl SweepPlanner {
         params: &ModelParams,
         candidates: &[usize],
     ) -> Result<(MixPlan, SweepStats), PlannerError> {
-        let net = platform.network();
-        let sites = platform.sites();
         let warm = self.mix_warm_seed(params, platform, mix, objective);
-        // Per-site sweeps refine in parallel (see the single-service
-        // planner): site-level workers with a sequential inner k-loop,
-        // folded in ascending site order for a deterministic winner.
-        let workers = self.worker_count(platform.node_count(), sites.len());
-        let inner = if workers > 1 {
-            SweepPlanner {
-                threads: Some(1),
-                ..*self
-            }
-        } else {
-            *self
-        };
-        let per_site = crate::par_claim(workers, sites.len(), |i| {
-            let site = &sites[i];
-            let mut nodes = platform.nodes_on_site(site.id);
-            if nodes.len() < candidates.len() + 1 {
-                return None;
-            }
-            super::improve::by_power_desc(platform, &mut nodes);
-            let site_params = ModelParams {
-                bandwidth: net.bandwidth_between(site.id, site.id),
-                site_aware: false,
-                ..*params
-            };
-            // Budget under the site's own bandwidth — the model this
-            // site's sweep runs in (see the single-service planner).
-            self.coarsen_nodes(
-                &site_params,
-                platform,
-                &mut nodes,
-                mix_wapp_cap(mix, candidates),
-            );
-            let mut site_stats = SweepStats::default();
-            let (plan, asg, _) = inner
-                .best_mix_over_nodes(
-                    &site_params,
-                    platform,
-                    mix,
-                    objective,
-                    candidates,
-                    &nodes,
-                    f64::NEG_INFINITY,
-                    &mut site_stats,
-                )
-                .ok()?;
-            // Re-score under the per-link model.
-            let eval = IncrementalEval::from_plan_mix(params, platform, &plan, mix, &asg).ok()?;
-            let obj = objective_score(objective, &eval);
-            Some((plan, asg, obj, site_stats))
-        });
+        let wapp_cap = mix_wapp_cap(mix, candidates);
+        let per_site = self.per_site_sweeps(
+            platform,
+            params,
+            candidates.len() + 1,
+            wapp_cap,
+            |inner, site_params, nodes| {
+                let mut site_stats = SweepStats::default();
+                let (plan, asg, _) = inner
+                    .best_mix_over_nodes(
+                        site_params,
+                        platform,
+                        mix,
+                        objective,
+                        candidates,
+                        nodes,
+                        f64::NEG_INFINITY,
+                        &mut site_stats,
+                    )
+                    .ok()?;
+                // Re-score under the per-link model.
+                let eval =
+                    IncrementalEval::from_plan_mix(params, platform, &plan, mix, &asg).ok()?;
+                let obj = objective_score(objective, &eval);
+                Some((plan, asg, obj, site_stats))
+            },
+        );
         let mut stats = SweepStats::default();
         let mut best: Option<(DeploymentPlan, ServerAssignment, f64)> = None;
-        for (plan, asg, obj, site_stats) in per_site.into_iter().flatten() {
+        for (plan, asg, obj, site_stats) in per_site {
             stats.absorb(&site_stats);
             if best
                 .as_ref()
@@ -1357,7 +1330,7 @@ impl SweepPlanner {
             // No site seats the whole mix: sweep the scalarized family
             // and re-score per-link.
             let mut nodes = platform.ids_by_power_desc();
-            self.coarsen_nodes(params, platform, &mut nodes, mix_wapp_cap(mix, candidates));
+            self.coarsen_nodes(params, platform, &mut nodes, wapp_cap);
             let scalar = ModelParams {
                 site_aware: false,
                 ..*params
@@ -1392,23 +1365,13 @@ impl SweepPlanner {
         // each step choosing (mid, service) jointly.
         let mut eval =
             IncrementalEval::from_plan_mix(params, platform, &seed_plan, mix, &seed_asg)?;
-        debug_assert!(eval.is_site_aware());
-        let largest_site = sites
-            .iter()
-            .map(|s| platform.nodes_on_site(s.id).len())
-            .max()
-            .unwrap_or(0);
-        let coarsen_wapp = self
-            .coarsen_active(largest_site)
-            .then(|| mix_wapp_cap(mix, candidates));
-        extend_across_sites_engine(
+        self.extend_across_sites(
             params,
             platform,
             &mut eval,
             seed_plan.root(),
             candidates,
-            self.max_agents,
-            coarsen_wapp,
+            wapp_cap,
             |e| objective_score(objective, e),
         );
         let plan = realize_from_eval(&eval);

@@ -152,7 +152,8 @@ struct RequestState {
     /// Selected (pred, server) so far per agent slot.
     best: Vec<(f64, u32)>,
     /// Cumulative selection weight per agent slot (weighted reservoir
-    /// sampling state for [`SelectionPolicy::WeightedByRate`]).
+    /// sampling state for
+    /// [`SelectionPolicy::WeightedByRate`](crate::config::SelectionPolicy::WeightedByRate)).
     cum_weight: Vec<f64>,
     active: bool,
 }
