@@ -63,7 +63,11 @@
 //! **Multi-site platforms.** Both references run the same two phases:
 //! the per-site sweeps (`per_site_sweeps`: one site per task, each at
 //! its intra bandwidth) and the cross-site growth (`extend_across_sites`,
-//! scored by ρ or by the mix objective). Their scan cores stay separate:
+//! scored by ρ or by the mix objective). Each sweep sorts every site's
+//! nodes strongest-first once (`site_lists`) and both phases read those
+//! lists: phase 1 scans a site's coarsened prefix, and phase 2 draws a
+//! site's spares from its list, reading it only as deep as the
+//! saturation budget when coarsening is on. Their scan cores stay separate:
 //! [`best_plan`](SweepPlanner::best_plan) steps the exact family with
 //! O(1) closed-form updates, while a one-service composition walk would
 //! grid `k` above `MIX_GRID_THRESHOLD` (96 nodes) and pay one engine
@@ -117,22 +121,26 @@ pub(crate) const COARSEN_THRESHOLD: usize = 4096;
 /// flat winner (and every per-`k` winner that could shadow it) fits in
 /// the prefix — and `rho_cap` is exactly why they do. A budget at or
 /// above the list length is a no-op by construction.
+///
+/// The powers come as an iterator that is read only up to `s_sat`, so
+/// sizing a 10⁵-node list's budget reads its first few hundred entries
+/// — all of them only when the list never saturates.
 pub(crate) fn saturation_budget(
     params: &ModelParams,
     rho_cap: f64,
-    powers_desc: &[f64],
+    powers_desc: impl IntoIterator<Item = f64>,
     wapp: f64,
 ) -> usize {
     let wpre = params.calibration.server.wpre.value();
     let transfer = comm::service_transfer_time(params).value();
     let mut numerator = 1.0;
     let mut denominator = 0.0;
-    let mut s_sat = powers_desc.len();
-    for (s, &w) in powers_desc.iter().enumerate() {
+    let mut s_sat = 0usize;
+    for w in powers_desc {
+        s_sat += 1;
         numerator += wpre / wapp;
         denominator += w / wapp;
         if service_rate_from_sums(transfer, numerator, denominator) >= rho_cap {
-            s_sat = s + 1;
             break;
         }
     }
@@ -145,33 +153,29 @@ pub(crate) fn rho_cap_of(params: &ModelParams, strongest: f64) -> f64 {
     sch_pow(params, adept_platform::MflopRate(strongest), 1)
 }
 
-/// **The** saturation truncation, shared by every coarsening site (the
-/// single place the budget is computed and applied — `coarsen_nodes`,
-/// the mix sweep's node lists, and phase 2's per-site spare pools all
-/// call through here). Cuts a power-descending node list to its
-/// [`saturation_budget`] under `params`, with the ρ cap taken from
-/// `cap_power` (`None` = the list's own strongest node — right when the
-/// deployment draws only from this list; phase 2 passes the
-/// platform-wide strongest because spares feed the global tree). `wapp`
+/// The saturation truncation of every swept list: the prefix of a
+/// power-descending node list that its [`saturation_budget`] under
+/// `params` keeps, with the ρ cap taken from the list's own strongest
+/// node — right because the swept families draw only from the list.
+/// [`SweepPlanner::coarsen_nodes`] applies it to the flat, per-site and
+/// mix lists alike; phase 2's spare pools (`extend_across_sites`) size
+/// the same budget against the platform-wide ρ cap instead. `wapp`
 /// should be the heaviest demanded service's ([`mix_wapp_cap`] for a
 /// mix): the heavier the service, the less each server contributes to
 /// Eq. 15 and the deeper the sweep may need to reach, so the heaviest
-/// maximizes the budget and keeps the truncation conservative. Lists of
-/// fewer than two nodes are left alone.
-pub(crate) fn truncate_to_saturation_budget(
+/// maximizes the budget and keeps the truncation conservative.
+pub(crate) fn truncate_to_saturation_budget<'a>(
     params: &ModelParams,
     platform: &Platform,
-    nodes: &mut Vec<NodeId>,
-    cap_power: Option<f64>,
+    nodes: &'a [NodeId],
     wapp: f64,
-) {
-    if nodes.len() < 2 {
-        return;
-    }
-    let powers: Vec<f64> = nodes.iter().map(|&id| platform.power(id).value()).collect();
-    let cap = rho_cap_of(params, cap_power.unwrap_or(powers[0]));
-    let budget = saturation_budget(params, cap, &powers, wapp);
-    nodes.truncate(budget);
+) -> &'a [NodeId] {
+    let Some(&strongest) = nodes.first() else {
+        return nodes;
+    };
+    let cap = rho_cap_of(params, platform.power(strongest).value());
+    let powers = nodes.iter().map(|&id| platform.power(id).value());
+    &nodes[..saturation_budget(params, cap, powers, wapp).min(nodes.len())]
 }
 
 /// The conservative `wapp` a mix hands to
@@ -280,19 +284,20 @@ impl SweepPlanner {
         self.coarsen.unwrap_or(n_local > COARSEN_THRESHOLD)
     }
 
-    /// Truncates a power-descending node list to its saturation budget
-    /// when coarsening is active for its size; no-op otherwise. The cap
-    /// on achievable ρ comes from the list's own strongest node — for
-    /// the families swept here the deployment draws only from the list.
-    pub(crate) fn coarsen_nodes(
+    /// The prefix of a power-descending node list that the sweep scans:
+    /// [`truncate_to_saturation_budget`]'s when coarsening is active for
+    /// the list's size, the whole list otherwise.
+    pub(crate) fn coarsen_nodes<'a>(
         &self,
         params: &ModelParams,
         platform: &Platform,
-        nodes: &mut Vec<NodeId>,
+        nodes: &'a [NodeId],
         wapp_cap: f64,
-    ) {
+    ) -> &'a [NodeId] {
         if self.coarsen_active(nodes.len()) {
-            truncate_to_saturation_budget(params, platform, nodes, None, wapp_cap);
+            truncate_to_saturation_budget(params, platform, nodes, wapp_cap)
+        } else {
+            nodes
         }
     }
 
@@ -493,9 +498,9 @@ impl SweepPlanner {
             // model's.
             return self.best_plan_multi_site(platform, service, &params);
         }
-        let mut nodes = platform.ids_by_power_desc();
-        self.coarsen_nodes(&params, platform, &mut nodes, service.wapp.value());
-        self.best_over_nodes(&params, platform, service, &nodes)
+        let nodes = platform.ids_by_power_desc();
+        let nodes = self.coarsen_nodes(&params, platform, &nodes, service.wapp.value());
+        self.best_over_nodes(&params, platform, service, nodes)
     }
 
     /// The uniform-network sweep core over an explicit power-descending
@@ -561,12 +566,14 @@ impl SweepPlanner {
     ///    move until a full round adds nothing; only the mid-agent↔root
     ///    messages per request cross the WAN.
     ///
-    /// Both phases are shared with the mix reference's multi-site family.
+    /// Both phases are shared with the mix reference's multi-site family,
+    /// and both read the per-site lists [`site_lists`] builds once.
     /// Falls back to the min-B scalarized sweep re-scored under the
     /// per-link model when no single site can seat two nodes.
     ///
     /// [`per_site_sweeps`]: SweepPlanner::per_site_sweeps
     /// [`extend_across_sites`]: SweepPlanner::extend_across_sites
+    /// [`site_lists`]: SweepPlanner::site_lists
     fn best_plan_multi_site(
         &self,
         platform: &Platform,
@@ -574,8 +581,14 @@ impl SweepPlanner {
         params: &ModelParams,
     ) -> Result<(DeploymentPlan, f64), PlannerError> {
         let wapp = service.wapp.value();
-        let per_site =
-            self.per_site_sweeps(platform, params, 2, wapp, |inner, site_params, nodes| {
+        let lists = self.site_lists(platform);
+        let per_site = self.per_site_sweeps(
+            platform,
+            params,
+            &lists,
+            2,
+            wapp,
+            |inner, site_params, nodes| {
                 let (plan, _) = inner
                     .best_over_nodes(site_params, platform, service, nodes)
                     .ok()?;
@@ -583,7 +596,8 @@ impl SweepPlanner {
                 // plan unless a client site is declared elsewhere).
                 let rho = params.evaluate(platform, &plan, service).rho;
                 Some((plan, rho))
-            });
+            },
+        );
         let mut best: Option<(DeploymentPlan, f64)> = None;
         for (plan, rho) in per_site {
             if best
@@ -596,18 +610,41 @@ impl SweepPlanner {
         let Some((seed, _)) = best else {
             // No site seats two nodes: sweep the scalarized family and
             // re-score per-link.
-            let mut nodes = platform.ids_by_power_desc();
-            self.coarsen_nodes(params, platform, &mut nodes, wapp);
-            let (plan, _) = self.best_over_nodes(params, platform, service, &nodes)?;
+            let nodes = platform.ids_by_power_desc();
+            let nodes = self.coarsen_nodes(params, platform, &nodes, wapp);
+            let (plan, _) = self.best_over_nodes(params, platform, service, nodes)?;
             let rho = params.evaluate(platform, &plan, service).rho;
             return Ok((plan, rho));
         };
         let mut eval = IncrementalEval::from_plan(params, platform, &seed, service);
-        self.extend_across_sites(params, platform, &mut eval, seed.root(), &[0], wapp, |e| {
-            e.rho()
-        });
+        self.extend_across_sites(
+            params,
+            platform,
+            &lists,
+            &mut eval,
+            seed.root(),
+            &[0],
+            wapp,
+            |e| e.rho(),
+        );
         let rho = eval.rho();
         Ok((super::realize::realize_from_eval(&eval), rho))
+    }
+
+    /// Every site's nodes, strongest first with ties to the lower id
+    /// ([`by_power_desc`](super::improve::by_power_desc)'s order), indexed
+    /// by site. A multi-site sweep builds them once and both of its
+    /// phases read them; sites too small for phase 1 get a list too,
+    /// since phase 2 takes spares from them. Sites sort in parallel, one
+    /// per task.
+    pub(crate) fn site_lists(&self, platform: &Platform) -> Vec<Vec<NodeId>> {
+        let sites = platform.sites();
+        let workers = self.worker_count(platform.node_count(), sites.len());
+        crate::par_claim(workers, sites.len(), |i| {
+            let mut nodes = platform.nodes_on_site(sites[i].id);
+            super::improve::by_power_desc(platform, &mut nodes);
+            nodes
+        })
     }
 
     /// Phase 1 of both multi-site sweeps: runs `sweep` once per site that
@@ -615,18 +652,21 @@ impl SweepPlanner {
     /// `Some`, in site order.
     ///
     /// `sweep` receives the inner planner, the site's model parameters
-    /// and the site's power-descending node list. The parameters price
-    /// every link at the site's intra bandwidth with `site_aware` off —
-    /// links inside a site are uniform — and the list is coarsened under
-    /// that model with `wapp_cap` (see [`coarsen_nodes`]). Sites run in
-    /// parallel, one per task; the inner planner then keeps its k-loop
-    /// sequential so the two levels do not multiply thread counts.
+    /// and the scanned prefix of the site's list in `lists` (see
+    /// [`site_lists`]). The parameters price every link at the site's
+    /// intra bandwidth with `site_aware` off — links inside a site are
+    /// uniform — and the prefix is the list coarsened under that model
+    /// with `wapp_cap` (see [`coarsen_nodes`]). Sites run in parallel,
+    /// one per task; the inner planner then keeps its k-loop sequential
+    /// so the two levels do not multiply thread counts.
     ///
     /// [`coarsen_nodes`]: SweepPlanner::coarsen_nodes
+    /// [`site_lists`]: SweepPlanner::site_lists
     pub(crate) fn per_site_sweeps<R: Send>(
         &self,
         platform: &Platform,
         params: &ModelParams,
+        lists: &[Vec<NodeId>],
         min_nodes: usize,
         wapp_cap: f64,
         sweep: impl Fn(&SweepPlanner, &ModelParams, &[NodeId]) -> Option<R> + Sync,
@@ -644,11 +684,9 @@ impl SweepPlanner {
         };
         let per_site = crate::par_claim(workers, sites.len(), |i| {
             let site = &sites[i];
-            let mut nodes = platform.nodes_on_site(site.id);
-            if nodes.len() < min_nodes {
+            if lists[i].len() < min_nodes {
                 return None;
             }
-            super::improve::by_power_desc(platform, &mut nodes);
             let site_params = ModelParams {
                 bandwidth: net.bandwidth_between(site.id, site.id),
                 site_aware: false,
@@ -657,15 +695,17 @@ impl SweepPlanner {
             // Budget under the site's own bandwidth — the model this
             // site's sweep runs in. The scalarized min-B would deflate
             // the ρ cap and cut the list below the flat winner.
-            self.coarsen_nodes(&site_params, platform, &mut nodes, wapp_cap);
-            sweep(&inner, &site_params, &nodes)
+            let nodes = self.coarsen_nodes(&site_params, platform, &lists[i], wapp_cap);
+            sweep(&inner, &site_params, nodes)
         });
         per_site.into_iter().flatten().collect()
     }
 
     /// Phase 2 of both multi-site sweeps: grows server groups behind
     /// site-local mid-agents on the site-aware engine `eval`, whose tree
-    /// hangs off `root`.
+    /// hangs off `root`. Each site's spares are the nodes of its list in
+    /// `lists` (see [`site_lists`]) that `eval` does not use, in list
+    /// order.
     ///
     /// Every site may hold **multiple mid-agents**. Each step of a site's
     /// sub-sweep probes every candidate move — attach the next spare
@@ -689,19 +729,24 @@ impl SweepPlanner {
     ///
     /// When coarsening is active for the largest site, every site's spare
     /// pool is cut at its [`saturation_budget`] under `wapp_cap`, against
-    /// the **platform-wide** ρ cap (spares feed the global tree). Spares
-    /// are consumed strongest-first under strict improvement, so a budget
+    /// the **platform-wide** ρ cap (spares feed the global tree): the pool
+    /// is the budget-length prefix of the site's list with used nodes
+    /// skipped, so a site's list is read only that deep. Spares are
+    /// consumed strongest-first under strict improvement, so a budget
     /// past the saturation point changes nothing; it only stops a
     /// million-node site from materializing a million-entry pool.
     /// `wapp_cap` should be the **largest** demanded service's, which
-    /// maximizes the budget.
+    /// maximizes the budget. With coarsening off the pool is every unused
+    /// node of the list.
     ///
     /// [`max_agents`]: SweepPlanner::max_agents
+    /// [`site_lists`]: SweepPlanner::site_lists
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn extend_across_sites(
         &self,
         params: &ModelParams,
         platform: &Platform,
+        lists: &[Vec<NodeId>],
         eval: &mut IncrementalEval,
         root: Slot,
         candidates: &[usize],
@@ -710,33 +755,25 @@ impl SweepPlanner {
     ) {
         debug_assert!(eval.is_site_aware());
         debug_assert_eq!(eval.pending_deltas(), 0, "grow from a committed state");
-        let largest_site = platform
-            .sites()
-            .iter()
-            .map(|s| platform.nodes_on_site(s.id).len())
-            .max()
-            .unwrap_or(0);
+        let largest_site = lists.iter().map(Vec::len).max().unwrap_or(0);
         let agent_budget = self.max_agents.unwrap_or(usize::MAX);
         let mut agent_count = eval.agents().count();
+        // Each list opens with its site's strongest node.
         let strongest = self.coarsen_active(largest_site).then(|| {
-            platform
-                .nodes()
+            lists
                 .iter()
-                .map(|n| n.power.value())
+                .filter_map(|list| list.first())
+                .map(|&id| platform.power(id).value())
                 .fold(0.0f64, f64::max)
         });
         // Strongest-first spare nodes per site.
         let mut spare: Vec<Vec<NodeId>> = platform
             .sites()
             .iter()
-            .map(|s| {
-                let mut v: Vec<NodeId> = platform
-                    .nodes_on_site(s.id)
-                    .into_iter()
-                    .filter(|&id| !eval.uses_node(id))
-                    .collect();
-                super::improve::by_power_desc(platform, &mut v);
-                if let Some(strongest) = strongest {
+            .zip(lists)
+            .map(|(s, list)| {
+                let unused = || list.iter().copied().filter(|&id| !eval.uses_node(id));
+                let keep = strongest.map_or(usize::MAX, |strongest| {
                     // Budget under the site's intra bandwidth (a spare
                     // attaches to a site-local mid), against the ρ cap the
                     // platform's strongest node sets for the whole tree.
@@ -744,14 +781,11 @@ impl SweepPlanner {
                         bandwidth: platform.network().bandwidth_between(s.id, s.id),
                         ..*params
                     };
-                    truncate_to_saturation_budget(
-                        &site_params,
-                        platform,
-                        &mut v,
-                        Some(strongest),
-                        wapp_cap,
-                    );
-                }
+                    let cap = rho_cap_of(&site_params, strongest);
+                    let powers = unused().map(|id| platform.power(id).value());
+                    saturation_budget(&site_params, cap, powers, wapp_cap)
+                });
+                let mut v: Vec<NodeId> = unused().take(keep).collect();
                 v.reverse(); // pop() takes the strongest
                 v
             })
@@ -1022,53 +1056,85 @@ mod tests {
         assert!((root_power.value() - max_power).abs() < 1e-9);
     }
 
+    /// Four sites of 0, 1, 9 and 30 nodes, each with its own node power
+    /// and intra bandwidth, node ids dealt round-robin across the sites.
+    fn uneven_sites(inter: f64) -> Platform {
+        use adept_platform::{MbitRate, Network, Seconds};
+        let sizes = [0usize, 1, 9, 30];
+        let powers = [300.0, 420.0, 380.0, 250.0];
+        let mut b = Platform::builder(Network::PerSitePair {
+            intra: [100.0, 50.0, 200.0, 100.0].map(MbitRate).to_vec(),
+            inter: MbitRate(inter),
+            latency: Seconds::ZERO,
+        });
+        let sites: Vec<_> = (0..sizes.len())
+            .map(|s| b.add_site(format!("site-{s}")))
+            .collect();
+        for i in 0..sizes[3] {
+            for s in (0..sizes.len()).filter(|&s| i < sizes[s]) {
+                b.add_node(format!("site-{s}-n{i}"), MflopRate(powers[s]), sites[s])
+                    .unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
     #[test]
     fn multi_site_sweep_keeps_the_quality_bar() {
         use adept_platform::generator::multi_site_grid;
-        use adept_platform::{MbitRate, SiteId};
-        let platform = multi_site_grid(2, 15, MflopRate(400.0), MbitRate(100.0), MbitRate(5.0), 9);
+        use adept_platform::MbitRate;
         let svc = Dgemm::new(310).service();
-        let params = crate::model::ModelParams::from_platform(&platform);
-        let (plan, rho) = SweepPlanner::default().best_plan(&platform, &svc).unwrap();
-        // The reported rho is the per-link model's evaluation of the plan.
-        let full = params.evaluate(&platform, &plan, &svc).rho;
-        assert!(
-            (rho - full).abs() <= 1e-9 * full.max(1.0),
-            "reported {rho} vs per-link {full}"
-        );
-        // Dominates the min-B scalarized sweep's plan under per-link
-        // evaluation (phase 1 alone already prices intra links right).
-        let scalar_planner = SweepPlanner {
-            params: Some(params.scalarized()),
-            ..SweepPlanner::default()
-        };
-        let (scalar_plan, _) = scalar_planner.best_plan(&platform, &svc).unwrap();
-        let scalar_rho = params.evaluate(&platform, &scalar_plan, &svc).rho;
-        assert!(
-            rho >= scalar_rho * (1.0 - 1e-9),
-            "multi-site sweep {rho} must dominate scalarized {scalar_rho}"
-        );
-        // Dominates every single-site sweep: the per-site family is
-        // phase 1's candidate set.
-        for site in [SiteId(0), SiteId(1)] {
-            let mut b = Platform::builder(platform.network().clone());
-            for s in platform.sites() {
-                b.add_site(s.name.clone());
-            }
-            for &id in &platform.nodes_on_site(site) {
-                let node = platform.node(id).unwrap();
-                b.add_node(node.name.clone(), node.power, node.site)
-                    .unwrap();
-            }
-            let single = b.build().unwrap();
-            let (sp, _) = SweepPlanner::default().best_plan(&single, &svc).unwrap();
-            let srho = crate::model::ModelParams::from_platform(&single)
-                .evaluate(&single, &sp, &svc)
-                .rho;
+        for platform in [
+            multi_site_grid(2, 15, MflopRate(400.0), MbitRate(100.0), MbitRate(5.0), 9),
+            uneven_sites(5.0),
+            uneven_sites(20.0),
+        ] {
+            let params = crate::model::ModelParams::from_platform(&platform);
+            let (plan, rho) = SweepPlanner::default().best_plan(&platform, &svc).unwrap();
+            // The reported rho is the per-link model's evaluation of the plan.
+            let full = params.evaluate(&platform, &plan, &svc).rho;
             assert!(
-                rho >= srho * (1.0 - 1e-9),
-                "{site}: multi-site {rho} below single-site {srho}"
+                (rho - full).abs() <= 1e-9 * full.max(1.0),
+                "reported {rho} vs per-link {full}"
             );
+            // Dominates the min-B scalarized sweep's plan under per-link
+            // evaluation (phase 1 alone already prices intra links right).
+            let scalar_planner = SweepPlanner {
+                params: Some(params.scalarized()),
+                ..SweepPlanner::default()
+            };
+            let (scalar_plan, _) = scalar_planner.best_plan(&platform, &svc).unwrap();
+            let scalar_rho = params.evaluate(&platform, &scalar_plan, &svc).rho;
+            assert!(
+                rho >= scalar_rho * (1.0 - 1e-9),
+                "multi-site sweep {rho} must dominate scalarized {scalar_rho}"
+            );
+            // Dominates every single-site sweep: the per-site family is
+            // phase 1's candidate set.
+            for site in platform.sites().iter().map(|s| s.id) {
+                let on_site = platform.nodes_on_site(site);
+                if on_site.len() < 2 {
+                    continue;
+                }
+                let mut b = Platform::builder(platform.network().clone());
+                for s in platform.sites() {
+                    b.add_site(s.name.clone());
+                }
+                for &id in &on_site {
+                    let node = platform.node(id).unwrap();
+                    b.add_node(node.name.clone(), node.power, node.site)
+                        .unwrap();
+                }
+                let single = b.build().unwrap();
+                let (sp, _) = SweepPlanner::default().best_plan(&single, &svc).unwrap();
+                let srho = crate::model::ModelParams::from_platform(&single)
+                    .evaluate(&single, &sp, &svc)
+                    .rho;
+                assert!(
+                    rho >= srho * (1.0 - 1e-9),
+                    "{site}: multi-site {rho} below single-site {srho}"
+                );
+            }
         }
     }
 
@@ -1188,11 +1254,11 @@ mod tests {
             .collect();
         let cap = rho_cap_of(&params, powers[0]);
         // A trivially light service saturates immediately: floor of 256.
-        let b_light = saturation_budget(&params, cap, &powers, 1e-9);
+        let b_light = saturation_budget(&params, cap, powers.iter().copied(), 1e-9);
         assert_eq!(b_light, 256);
         // A heavy service never saturates on 100 nodes: 4n + 64 keeps
         // the whole list (budget >= need, so truncation is a no-op).
-        let b_heavy = saturation_budget(&params, cap, &powers, 1e12);
+        let b_heavy = saturation_budget(&params, cap, powers.iter().copied(), 1e12);
         assert_eq!(b_heavy, 4 * powers.len() + 64);
         assert!(b_heavy >= powers.len(), "budget must cover the need");
     }

@@ -961,13 +961,8 @@ impl SweepPlanner {
         if params.uses_link_bandwidths(platform) {
             return self.best_mix_plan_multi_site(platform, mix, objective, &params, &candidates);
         }
-        let mut nodes = platform.ids_by_power_desc();
-        self.coarsen_nodes(
-            &params,
-            platform,
-            &mut nodes,
-            mix_wapp_cap(mix, &candidates),
-        );
+        let nodes = platform.ids_by_power_desc();
+        let nodes = self.coarsen_nodes(&params, platform, &nodes, mix_wapp_cap(mix, &candidates));
         let warm = self.mix_warm_seed(&params, platform, mix, objective);
         let warm_obj = warm.as_ref().map_or(f64::NEG_INFINITY, |&(_, _, o)| o);
         let mut stats = SweepStats::default();
@@ -977,7 +972,7 @@ impl SweepPlanner {
             mix,
             objective,
             &candidates,
-            &nodes,
+            nodes,
             warm_obj,
             &mut stats,
         );
@@ -1078,8 +1073,8 @@ impl SweepPlanner {
             candidates
                 .iter()
                 .map(|&j| {
-                    let budget =
-                        saturation_budget(params, cap, &powers, mix.service(j).wapp.value());
+                    let wapp = mix.service(j).wapp.value();
+                    let budget = saturation_budget(params, cap, powers.iter().copied(), wapp);
                     (budget.min(n) / MIX_GRID_RESOLUTION).max(1)
                 })
                 .collect()
@@ -1289,9 +1284,11 @@ impl SweepPlanner {
     ) -> Result<(MixPlan, SweepStats), PlannerError> {
         let warm = self.mix_warm_seed(params, platform, mix, objective);
         let wapp_cap = mix_wapp_cap(mix, candidates);
+        let lists = self.site_lists(platform);
         let per_site = self.per_site_sweeps(
             platform,
             params,
+            &lists,
             candidates.len() + 1,
             wapp_cap,
             |inner, site_params, nodes| {
@@ -1329,8 +1326,8 @@ impl SweepPlanner {
         let Some((seed_plan, seed_asg, _)) = best else {
             // No site seats the whole mix: sweep the scalarized family
             // and re-score per-link.
-            let mut nodes = platform.ids_by_power_desc();
-            self.coarsen_nodes(params, platform, &mut nodes, wapp_cap);
+            let nodes = platform.ids_by_power_desc();
+            let nodes = self.coarsen_nodes(params, platform, &nodes, wapp_cap);
             let scalar = ModelParams {
                 site_aware: false,
                 ..*params
@@ -1341,7 +1338,7 @@ impl SweepPlanner {
                 mix,
                 objective,
                 candidates,
-                &nodes,
+                nodes,
                 f64::NEG_INFINITY,
                 &mut stats,
             );
@@ -1368,6 +1365,7 @@ impl SweepPlanner {
         self.extend_across_sites(
             params,
             platform,
+            &lists,
             &mut eval,
             seed_plan.root(),
             candidates,
@@ -1397,14 +1395,9 @@ impl SweepPlanner {
     ) -> Option<f64> {
         let candidates: Vec<usize> = (0..mix.len()).filter(|&j| mix.share(j) > 0.0).collect();
         let params = resolve_params(self.params, platform);
-        let mut nodes = platform.ids_by_power_desc();
-        self.coarsen_nodes(
-            &params,
-            platform,
-            &mut nodes,
-            mix_wapp_cap(mix, &candidates),
-        );
-        let ctx = self.make_mix_ctx(&params, platform, mix, objective, &candidates, &nodes);
+        let nodes = platform.ids_by_power_desc();
+        let nodes = self.coarsen_nodes(&params, platform, &nodes, mix_wapp_cap(mix, &candidates));
+        let ctx = self.make_mix_ctx(&params, platform, mix, objective, &candidates, nodes);
         let n = nodes.len();
         let k_cap = self.k_cap(n).min(n - candidates.len());
         let workers = self.worker_count(n, n - 1);

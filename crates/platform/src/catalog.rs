@@ -78,7 +78,7 @@ pub fn single_site(name: &str, max_nodes: Option<usize>) -> Result<Platform, Pla
         MiddlewareCalibration::reference_bandwidth(),
     ));
     let site_id = b.add_site(spec.name);
-    add_site_nodes(&mut b, spec, site_id, max_nodes);
+    add_site_nodes(&mut b, spec, site_id, max_nodes)?;
     b.build()
 }
 
@@ -87,7 +87,9 @@ pub fn single_site(name: &str, max_nodes: Option<usize>) -> Result<Platform, Pla
 ///
 /// # Errors
 /// [`PlatformError::UnknownSiteName`] for a name outside the catalog;
-/// [`PlatformError::Empty`] for an empty site list.
+/// [`PlatformError::Empty`] for an empty site list;
+/// [`PlatformError::DuplicateName`] for a site listed twice (its host
+/// names repeat).
 pub fn multi_site(names: &[&str], inter_bandwidth: MbitRate) -> Result<Platform, PlatformError> {
     if names.is_empty() {
         return Err(PlatformError::Empty);
@@ -104,7 +106,7 @@ pub fn multi_site(names: &[&str], inter_bandwidth: MbitRate) -> Result<Platform,
     });
     for spec in specs {
         let site_id = b.add_site(spec.name);
-        add_site_nodes(&mut b, spec, site_id, None);
+        add_site_nodes(&mut b, spec, site_id, None)?;
     }
     b.build()
 }
@@ -114,18 +116,16 @@ fn add_site_nodes(
     spec: &SiteSpec,
     site_id: SiteId,
     max_nodes: Option<usize>,
-) {
+) -> Result<(), PlatformError> {
     let count = max_nodes.map_or(spec.nodes, |m| m.min(spec.nodes));
     for i in 0..count {
         b.add_node(
             format!("{}-{i}.{}", spec.host_prefix, spec.name),
             spec.node_power,
             site_id,
-        )
-        // audit: allow(unwrap, "catalog construction rejects duplicate host
-        // names before this point")
-        .expect("catalog host names are unique");
+        )?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -167,6 +167,11 @@ mod tests {
         assert_eq!(
             multi_site(&[], MbitRate(20.0)).unwrap_err(),
             PlatformError::Empty
+        );
+        // A repeated site repeats its host names.
+        assert_eq!(
+            multi_site(&["lyon", "lyon"], MbitRate(20.0)).unwrap_err(),
+            PlatformError::DuplicateName("sagittaire-0.lyon".into())
         );
     }
 
