@@ -25,6 +25,13 @@
 //! cache entirely: replay correctness must not depend on what other
 //! tenants planned since the journal was written.
 //!
+//! Building a key reads the platform's
+//! [`fingerprint`](Platform::fingerprint), which hashes the whole catalog
+//! on its first call and returns the stored value after; from then on a
+//! key costs O(services). `lookup` and `insert` build their key before
+//! taking the lock, so a catalog's one real hash never holds up another
+//! connection.
+//!
 //! Memory bound: at most `capacity` entries, each one deployment plan +
 //! assignment (O(servers) each), so the worst case is
 //! `capacity × O(n)`. Operators size it via
@@ -74,6 +81,9 @@ pub struct CacheStats {
 /// journal layer uses to refuse resuming on changed hardware — and the
 /// mix by its exact share/`Wapp` bit patterns (service *names* are
 /// deliberately excluded: they label reports, they never shape a plan).
+///
+/// Once the catalog has been hashed, a key costs O(services); callers
+/// build it before taking the cache lock.
 #[derive(Debug, Clone, PartialEq)]
 struct Key {
     fingerprint: u64,
@@ -111,7 +121,6 @@ struct Entry {
 }
 
 struct Inner {
-    capacity: usize,
     clock: u64,
     entries: Vec<Entry>,
     exact_hits: u64,
@@ -138,13 +147,14 @@ pub(crate) enum CacheLookup {
 /// entries, so contention is bounded by design.
 #[derive(Debug)]
 pub struct PlanCache {
+    /// Entry capacity, fixed at construction; `0` disables the cache.
+    capacity: usize,
     inner: Mutex<Inner>,
 }
 
 impl std::fmt::Debug for Inner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Inner")
-            .field("capacity", &self.capacity)
             .field("entries", &self.entries.len())
             .finish_non_exhaustive()
     }
@@ -155,10 +165,10 @@ impl PlanCache {
     /// (every lookup misses silently, every insert is dropped).
     pub fn new(capacity: usize) -> PlanCache {
         PlanCache {
+            capacity,
             inner: Mutex::named(
                 "serve.plan-cache",
                 Inner {
-                    capacity,
                     clock: 0,
                     entries: Vec::new(),
                     exact_hits: 0,
@@ -181,11 +191,11 @@ impl PlanCache {
         demand: &[f64],
         allow_near: bool,
     ) -> CacheLookup {
-        let mut inner = self.inner.lock();
-        if inner.capacity == 0 {
+        if self.capacity == 0 {
             return CacheLookup::Miss;
         }
         let key = Key::of(platform, mix, objective);
+        let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;
 
@@ -238,15 +248,15 @@ impl PlanCache {
         demand: &[f64],
         result: &MixPlan,
     ) {
-        let mut inner = self.inner.lock();
-        if inner.capacity == 0 {
+        if self.capacity == 0 {
             return;
         }
         let key = Key::of(platform, mix, objective);
         let quantized: Vec<i64> = demand.iter().map(|&r| quantize(r)).collect();
+        let mut inner = self.inner.lock();
         inner.clock += 1;
         inner.insertions += 1;
-        let (clock, capacity) = (inner.clock, inner.capacity);
+        let clock = inner.clock;
         if let Some(e) = inner
             .entries
             .iter_mut()
@@ -264,7 +274,7 @@ impl PlanCache {
             result: result.clone(),
             stamp: clock,
         });
-        if inner.entries.len() > capacity {
+        if inner.entries.len() > self.capacity {
             let lru = inner
                 .entries
                 .iter()
@@ -281,7 +291,7 @@ impl PlanCache {
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock();
         CacheStats {
-            capacity: inner.capacity as u64,
+            capacity: self.capacity as u64,
             entries: inner.entries.len() as u64,
             exact_hits: inner.exact_hits,
             near_hits: inner.near_hits,

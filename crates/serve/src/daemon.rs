@@ -43,6 +43,12 @@ use std::time::Duration;
 /// flag.
 const POLL: Duration = Duration::from_millis(50);
 
+/// Longest request line, newline excluded, that a connection may send.
+/// A client past it gets one `bad-frame` answer and the connection is
+/// closed, so a line with no end cannot grow the daemon's memory.
+/// Normal requests are a few KiB.
+const MAX_FRAME_BYTES: usize = 1 << 20;
+
 /// Daemon startup configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -268,7 +274,7 @@ fn accept_loop(
 }
 
 /// One connection: read lines, dispatch, answer — until EOF, a socket
-/// error, or daemon shutdown.
+/// error, a line longer than [`MAX_FRAME_BYTES`], or daemon shutdown.
 fn serve_connection(mut stream: TcpStream, state: &Arc<SharedState>) {
     // Request/response over small frames: Nagle + delayed ACK would add
     // ~40ms per round trip, so disable coalescing outright.
@@ -285,20 +291,37 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<SharedState>) {
         match stream.read(&mut chunk) {
             Ok(0) => return, // EOF
             Ok(n) => {
+                // Earlier reads left no newline in `buf`, so only the new
+                // bytes are searched: a long line costs linear time.
+                let mut unscanned = buf.len();
                 buf.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+                loop {
+                    let newline = buf[unscanned..]
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .map(|i| unscanned + i);
+                    if newline.unwrap_or(buf.len()) > MAX_FRAME_BYTES {
+                        // The rest of the line cannot be told apart from
+                        // the next frame, so answer once and close. The
+                        // close resets the connection over the bytes left
+                        // unread; shutting the write half first delivers
+                        // the answer and an end of stream ahead of it.
+                        let e = ServeError::BadFrame(format!(
+                            "request line longer than {MAX_FRAME_BYTES} bytes"
+                        ));
+                        if write_frame(&mut stream, err_response(0, &e)).is_ok() {
+                            let _ = stream.shutdown(std::net::Shutdown::Write);
+                        }
+                        return;
+                    }
+                    let Some(pos) = newline else { break };
                     let line: Vec<u8> = buf.drain(..=pos).collect();
+                    unscanned = 0;
                     let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
                     if line.trim().is_empty() {
                         continue;
                     }
-                    let mut response = answer(&line, state);
-                    response.push('\n');
-                    if stream
-                        .write_all(response.as_bytes())
-                        .and_then(|()| stream.flush())
-                        .is_err()
-                    {
+                    if write_frame(&mut stream, answer(&line, state)).is_err() {
                         return;
                     }
                 }
@@ -313,6 +336,13 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<SharedState>) {
             Err(_) => return,
         }
     }
+}
+
+/// Writes one response line and flushes it.
+fn write_frame(stream: &mut TcpStream, mut response: String) -> std::io::Result<()> {
+    response.push('\n');
+    stream.write_all(response.as_bytes())?;
+    stream.flush()
 }
 
 /// Parses and dispatches one request line into one response line.

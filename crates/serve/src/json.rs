@@ -12,8 +12,17 @@
 //!   rate) documents `null` as "unbounded".
 //! * **Object key order is preserved** (a `Vec` of pairs, not a map), so
 //!   journals are byte-stable across a write/read/write round trip.
+//!
+//! The parser recurses once per nested array or object, so it refuses
+//! input nested deeper than 64 containers rather than let a hostile line
+//! overflow the stack of the thread reading it.
 
 use std::fmt;
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// deepest frame or journal record the protocol writes (a `status`
+/// response) nests 6.
+const MAX_DEPTH: usize = 64;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,14 +109,15 @@ impl Json {
     }
 
     /// Parses one JSON document, requiring it to span the whole input
-    /// (trailing whitespace allowed).
+    /// (trailing whitespace allowed) and to nest at most 64 arrays and
+    /// objects.
     ///
     /// # Errors
     /// A human-readable description with a byte offset.
     pub fn parse(input: &str) -> Result<Json, String> {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -171,10 +181,15 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `*pos`, which sits inside `depth` containers.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+            "nested deeper than {MAX_DEPTH} arrays and objects at byte {pos}",
+            pos = *pos
+        )),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -188,7 +203,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -216,7 +231,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}", pos = *pos));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -316,6 +331,7 @@ mod tests {
 
     #[test]
     fn roundtrips_values() {
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         let cases = [
             "null",
             "true",
@@ -327,6 +343,7 @@ mod tests {
             "[]",
             "[1,2,3]",
             "{\"a\":1,\"b\":[true,null]}",
+            &deepest,
         ];
         for case in cases {
             let v = Json::parse(case).expect(case);
@@ -363,7 +380,23 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        for bad in ["", "{", "[1,", "{\"a\"}", "tru", "1.2.3", "\"unterminated"] {
+        let deep = "[".repeat(100_000);
+        let one_too_deep = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "tru",
+            "1.2.3",
+            "\"unterminated",
+            &deep,
+            &one_too_deep,
+        ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
     }

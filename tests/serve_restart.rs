@@ -451,6 +451,35 @@ fn wire_errors_are_typed_not_dropped_connections() {
         .unwrap();
     assert!(line.contains("\"bad-frame\""), "got: {line}");
 
+    // A frame nested 20,000 deep is refused as bad-frame; it must not
+    // overflow the stack of the thread parsing it.
+    let mut deep = "[".repeat(20_000);
+    deep.push('\n');
+    raw.write_all(deep.as_bytes()).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"bad-frame\""), "got: {line}");
+
+    // A line with no end is cut off past the frame cap: one bad-frame
+    // answer, then the daemon closes that connection.
+    let mut endless = std::net::TcpStream::connect(daemon.addr()).unwrap();
+    endless
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    // The daemon may close while this write is still going; that is the
+    // behaviour under test, not a failure.
+    let _ = endless.write_all(&vec![b'x'; 2 << 20]);
+    let mut reader = BufReader::new(endless);
+    line.clear();
+    reader
+        .read_line(&mut line)
+        .expect("an answer before the close");
+    assert!(line.contains("\"bad-frame\""), "got: {line}");
+    assert!(line.contains("\"id\":0"), "got: {line}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("end of stream"), 0);
+
     // The session survived all of that.
     client
         .observe("acme", &PHASES[0].1, &[])
