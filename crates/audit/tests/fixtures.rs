@@ -161,4 +161,11 @@ fn committed_tree_is_audit_clean() {
         report.allows.iter().all(|a| a.uses >= 1),
         "every allow marker in the tree must excuse at least one site"
     );
+    // The inventory may only shrink unnoticed: a change that adds a
+    // marker raises this bound in the same diff, where review sees it.
+    assert!(
+        report.allows.len() <= 53,
+        "{} allow markers, above the committed bound of 53",
+        report.allows.len()
+    );
 }

@@ -30,7 +30,7 @@ pub mod table;
 
 pub use curves::{client_schedule, load_curve, CurvePoint};
 pub use fit::{fit_linear, LinearFit};
-pub use table::{write_csv, Table};
+pub use table::Table;
 
 /// True when `BENCH_FAST=1`: smaller sweeps, shorter windows.
 pub fn fast_mode() -> bool {

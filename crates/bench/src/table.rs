@@ -96,15 +96,6 @@ impl Table {
     }
 }
 
-/// Convenience: write headers+rows straight to a CSV file.
-pub fn write_csv<S: Into<String> + Clone>(path: &Path, headers: Vec<S>, rows: Vec<Vec<String>>) {
-    let mut t = Table::new(headers);
-    for r in rows {
-        t.row(r);
-    }
-    t.to_csv(path);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

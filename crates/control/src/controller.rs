@@ -81,8 +81,8 @@ impl From<DeployError> for ControlError {
 /// Static policy of a [`Controller`].
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
-    /// Replan conditions; any firing policy starts a (hysteresis-gated)
-    /// round.
+    /// Replan conditions (forecast drift, periodic); any firing policy
+    /// starts a (hysteresis-gated) round.
     pub triggers: Vec<TriggerPolicy>,
     /// Flap damping.
     pub hysteresis: Hysteresis,
@@ -342,19 +342,13 @@ impl Controller {
             }
         }
 
-        // Trigger evaluation: drift statistics are O(services); the
-        // model evaluation of the running deployment is computed at
-        // most once per tick and only when a configured policy
-        // actually reads it (`PredictedShortfall`) — a drift-only
-        // configuration ticks without ever touching the model.
+        // Trigger evaluation reads only the O(services) drift statistics.
         let wapp_drift = self.wapp_drift();
-        let mut report = None;
-        let reason = self.config.triggers.iter().find_map(|t| {
-            if t.needs_report() && report.is_none() {
-                report = Some(self.predicted());
-            }
-            t.fire_reason(self.tick, &self.demand, wapp_drift, report.as_ref())
-        });
+        let reason = self
+            .config
+            .triggers
+            .iter()
+            .find_map(|t| t.fire_reason(self.tick, &self.demand, wapp_drift));
         let Some(reason) = reason else {
             self.fired_streak = 0;
             return Ok(None);
@@ -459,7 +453,10 @@ impl Controller {
         };
         self.replans += 1;
         self.fired_streak = 0;
-        self.cooldown_until = self.tick + self.config.hysteresis.cooldown_ticks;
+        // Saturating: `u64::MAX` ticks means "never again", not a wrap.
+        self.cooldown_until = self
+            .tick
+            .saturating_add(self.config.hysteresis.cooldown_ticks);
 
         if replan.diff.is_empty() && replan.reassigned.is_empty() {
             return Ok(None); // the running deployment already fits
@@ -634,6 +631,42 @@ mod tests {
         // The new deployment covers the new demand in the model.
         let report = c.predicted();
         assert!(report.rho_service[1] >= 2.4);
+    }
+
+    #[test]
+    fn a_cooldown_of_u64_max_ticks_never_ends() {
+        // A `u64::MAX` cooldown ("never again") must not overflow the
+        // cooldown end: that panics in a debug build and wraps to no
+        // cooldown at all in a release build.
+        let platform = Arc::new(lyon_cluster(40));
+        let planned = MixDemand::targets(vec![2.0, 1.0]);
+        let config = ControllerConfig {
+            demand_alpha: 1.0,
+            hysteresis: Hysteresis {
+                min_sustained: 1,
+                cooldown_ticks: u64::MAX,
+            },
+            ..Default::default()
+        };
+        let mut c = controller_on(&platform, &planned, config);
+        let mut migrations = 0;
+        for _ in 0..10 {
+            if c.tick(&Observations::rates(vec![2.0, 2.4]))
+                .expect("replannable")
+                .is_some()
+            {
+                migrations += 1;
+            }
+        }
+        assert_eq!(migrations, 1, "the sustained jump migrates once");
+        // A later jump fires the trigger, but the cooldown never ends.
+        for _ in 0..10 {
+            let m = c
+                .tick(&Observations::rates(vec![0.5, 4.0]))
+                .expect("held rounds cannot fail");
+            assert!(m.is_none());
+        }
+        assert_eq!(c.replans(), 1, "no round after the first");
     }
 
     #[test]

@@ -3,10 +3,8 @@
 //! A trigger answers one question per tick — *has reality diverged from
 //! the running plan's assumptions enough to justify disruption?* —
 //! without prescribing what the replan should do. Policies are cheap
-//! (O(services) or one model evaluation) so the controller can tick at
-//! observation frequency.
+//! (O(services)) so the controller can tick at observation frequency.
 
-use adept_core::model::mix::MixReport;
 use adept_workload::RateForecaster;
 
 /// A condition under which the controller replans. Any firing policy
@@ -23,14 +21,6 @@ pub enum TriggerPolicy {
         /// Relative drift (e.g. `0.2` = 20%) above which to act.
         threshold: f64,
     },
-    /// Fires when the model predicts the running deployment cannot
-    /// carry the forecast demand with `margin` relative headroom: any
-    /// service's predicted rate below `forecast × (1 + margin)`, or the
-    /// scheduling phase below the summed forecast × `(1 + margin)`.
-    PredictedShortfall {
-        /// Required relative capacity headroom (e.g. `0.1` = 10%).
-        margin: f64,
-    },
     /// Fires every `every` ticks regardless of drift (a safety net for
     /// slow model/reality divergence no statistic catches).
     Periodic {
@@ -40,26 +30,14 @@ pub enum TriggerPolicy {
 }
 
 impl TriggerPolicy {
-    /// True when evaluating this policy needs a model evaluation of the
-    /// running deployment — the caller can skip that O(plan · services)
-    /// pass entirely when no configured policy wants it.
-    pub fn needs_report(&self) -> bool {
-        matches!(self, TriggerPolicy::PredictedShortfall { .. })
-    }
-
     /// Evaluates the policy. `wapp_drift` is the largest relative
-    /// execution-time drift across services (0 when none observed);
-    /// `report` is the model evaluation of the *running* deployment —
-    /// only consulted (and only required) when
-    /// [`needs_report`](TriggerPolicy::needs_report) is true; a policy
-    /// that needs it holds when handed `None`.
+    /// execution-time drift across services (0 when none observed).
     /// Returns a human-readable firing reason, or `None` to hold.
     pub fn fire_reason(
         &self,
         tick: u64,
         forecasters: &[RateForecaster],
         wapp_drift: f64,
-        report: Option<&MixReport>,
     ) -> Option<String> {
         match *self {
             TriggerPolicy::ForecastDrift { threshold } => {
@@ -78,29 +56,6 @@ impl TriggerPolicy {
                         "execution-time estimate drifted {:.0}% (> {:.0}%)",
                         wapp_drift * 100.0,
                         threshold * 100.0
-                    ));
-                }
-                None
-            }
-            TriggerPolicy::PredictedShortfall { margin } => {
-                let report = report?;
-                let mut total = 0.0;
-                for (j, f) in forecasters.iter().enumerate() {
-                    let Some(demand) = f.forecast() else { continue };
-                    total += demand;
-                    let have = report.rho_service.get(j).copied().unwrap_or(0.0);
-                    if have < demand * (1.0 + margin) {
-                        return Some(format!(
-                            "service {j} predicted {have:.2} req/s for a {demand:.2} req/s forecast \
-                             (+{:.0}% margin)",
-                            margin * 100.0
-                        ));
-                    }
-                }
-                if total > 0.0 && report.rho_sched < total * (1.0 + margin) {
-                    return Some(format!(
-                        "scheduling phase predicted {:.2} req/s for a {total:.2} req/s forecast",
-                        report.rho_sched
                     ));
                 }
                 None
@@ -125,7 +80,7 @@ pub struct Hysteresis {
     /// (debounce; 1 = act immediately).
     pub min_sustained: u64,
     /// Ticks after a migration (or a no-op replan) during which no new
-    /// round starts.
+    /// round starts; `u64::MAX` means no round ever starts again.
     pub cooldown_ticks: u64,
 }
 
@@ -142,15 +97,6 @@ impl Default for Hysteresis {
 mod tests {
     use super::*;
 
-    fn report(sched: f64, services: Vec<f64>) -> MixReport {
-        MixReport {
-            rho: sched.min(services.iter().copied().fold(f64::INFINITY, f64::min)),
-            rho_sched: sched,
-            rho_service: services,
-            binding_service: None,
-        }
-    }
-
     fn forecaster(planned: f64, observed: f64) -> RateForecaster {
         let mut f = RateForecaster::new(1.0);
         f.mark_planned(planned);
@@ -162,45 +108,23 @@ mod tests {
     fn drift_trigger_fires_past_threshold_only() {
         let policy = TriggerPolicy::ForecastDrift { threshold: 0.25 };
         let calm = vec![forecaster(2.0, 2.2)]; // 10% drift
-        let r = report(10.0, vec![10.0]);
-        assert!(policy.fire_reason(1, &calm, 0.0, Some(&r)).is_none());
+        assert!(policy.fire_reason(1, &calm, 0.0).is_none());
         let shifted = vec![forecaster(2.0, 3.0)]; // 50% drift
-        let reason = policy.fire_reason(1, &shifted, 0.0, Some(&r)).unwrap();
+        let reason = policy.fire_reason(1, &shifted, 0.0).unwrap();
         assert!(reason.contains("drifted 50%"), "{reason}");
         // Wapp drift fires through the same threshold.
-        assert!(policy.fire_reason(1, &calm, 0.3, Some(&r)).is_some());
-    }
-
-    #[test]
-    fn shortfall_trigger_checks_service_and_sched_phases() {
-        let policy = TriggerPolicy::PredictedShortfall { margin: 0.1 };
-        let f = vec![forecaster(2.0, 2.0), forecaster(1.0, 1.0)];
-        // Plenty of capacity everywhere: hold.
-        assert!(policy
-            .fire_reason(1, &f, 0.0, Some(&report(10.0, vec![3.0, 2.0])))
-            .is_none());
-        // Service 1 below forecast + margin: fire.
-        assert!(policy
-            .fire_reason(1, &f, 0.0, Some(&report(10.0, vec![3.0, 1.05])))
-            .is_some());
-        // Scheduling phase below the summed forecast: fire.
-        assert!(policy
-            .fire_reason(1, &f, 0.0, Some(&report(3.1, vec![3.0, 2.0])))
-            .is_some());
-        // Without a report the policy holds (the controller only
-        // withholds it when no configured policy needs one).
-        assert!(policy.fire_reason(1, &f, 0.0, None).is_none());
+        assert!(policy.fire_reason(1, &calm, 0.3).is_some());
     }
 
     #[test]
     fn periodic_trigger_fires_on_schedule() {
         let policy = TriggerPolicy::Periodic { every: 3 };
         let f: Vec<RateForecaster> = Vec::new();
-        assert!(policy.fire_reason(1, &f, 0.0, None).is_none());
-        assert!(policy.fire_reason(3, &f, 0.0, None).is_some());
-        assert!(policy.fire_reason(6, &f, 0.0, None).is_some());
+        assert!(policy.fire_reason(1, &f, 0.0).is_none());
+        assert!(policy.fire_reason(3, &f, 0.0).is_some());
+        assert!(policy.fire_reason(6, &f, 0.0).is_some());
         assert!(TriggerPolicy::Periodic { every: 0 }
-            .fire_reason(0, &f, 0.0, None)
+            .fire_reason(0, &f, 0.0)
             .is_none());
     }
 }

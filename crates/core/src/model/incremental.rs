@@ -40,7 +40,7 @@
 //! # Delta API
 //!
 //! [`IncrementalEval::add_server`], [`remove_server`],
-//! [`promote_to_agent`], [`demote_to_server`], [`move_child`] and the
+//! [`promote_to_agent`], [`move_child`] and the
 //! abstract [`assign_child_slot`] / [`release_child_slot`] pair each
 //! run in O(log n) and push an inverse record onto an undo stack;
 //! [`undo`](IncrementalEval::undo) pops one delta and restores the
@@ -57,7 +57,7 @@
 //! running sums as structure-of-arrays
 //! ([`svc_numerator`](IncrementalEval)/`svc_denominator`/…). A delta
 //! touches at most one service's sums (the server being attached,
-//! retired, promoted or demoted belongs to exactly one service), so every
+//! retired or promoted belongs to exactly one service), so every
 //! mutation still costs one O(log n) tree pass plus O(1) sum updates —
 //! and updates **all** services' throughputs at once; queries are O(S)
 //! for S services. Build with [`from_plan_mix`] / [`from_agents_mix`],
@@ -117,7 +117,6 @@
 //!
 //! [`remove_server`]: IncrementalEval::remove_server
 //! [`promote_to_agent`]: IncrementalEval::promote_to_agent
-//! [`demote_to_server`]: IncrementalEval::demote_to_server
 //! [`move_child`]: IncrementalEval::move_child
 //! [`assign_child_slot`]: IncrementalEval::assign_child_slot
 //! [`assign_child_slot_at`]: IncrementalEval::assign_child_slot_at
@@ -338,9 +337,6 @@ enum Delta {
     Promote {
         slot: usize,
     },
-    Demote {
-        slot: usize,
-    },
     MoveChild {
         child: usize,
         old_parent: usize,
@@ -406,8 +402,8 @@ pub struct IncrementalEval {
     /// all zero in uniform mode).
     child_sum: Vec<f64>,
     /// Service hosted by each slot while it is (or last was) a server;
-    /// agents keep their last value (0 for never-servers) so a demotion
-    /// returns the node to the service it previously hosted.
+    /// agents keep their last value (0 for never-servers) so undoing a
+    /// promotion returns the node to the service it previously hosted.
     service_of: Vec<usize>,
     /// Active servers per `(service, site)`, `[service * site_count +
     /// site]` — the support of each service's Eq. 15 worst-transfer
@@ -967,48 +963,6 @@ impl IncrementalEval {
         Ok(())
     }
 
-    /// Demotes a childless agent back to a server — the inverse of
-    /// [`promote_to_agent`](IncrementalEval::promote_to_agent). O(log n).
-    ///
-    /// # Errors
-    /// [`PlanError::InvalidSlot`], [`PlanError::NotAnAgent`],
-    /// [`PlanError::AgentHasChildren`], or [`PlanError::CannotRemoveRoot`]
-    /// when the slot has no parent.
-    pub fn demote_to_server(&mut self, slot: Slot) -> Result<(), PlanError> {
-        let i = slot.index();
-        if i >= self.nodes.len() || !self.active[i] {
-            return Err(PlanError::InvalidSlot(slot));
-        }
-        if self.roles[i] != Role::Agent {
-            return Err(PlanError::NotAnAgent(slot));
-        }
-        if self.degrees[i] > 0 {
-            return Err(PlanError::AgentHasChildren(slot));
-        }
-        if self.parents[i].is_none() {
-            return Err(PlanError::CannotRemoveRoot);
-        }
-        // The node returns to the service it hosted before its promotion
-        // (0 for an agent that has never been a server).
-        let service = self.service_of[i];
-        let mut saved = self.saved();
-        self.save_service(&mut saved, service);
-        self.save_cycle(&mut saved, i);
-        if self.site.is_some() {
-            self.svc_site_servers[service * self.site_count + self.sites[i]] += 1;
-        }
-
-        self.roles[i] = Role::Server;
-        self.tree.set(i, self.cycle_of(i));
-        self.server_count += 1;
-        self.svc_server_count[service] += 1;
-        self.svc_numerator[service] += self.svc_wpre_over_wapp[service];
-        self.svc_denominator[service] += self.powers[i] * self.svc_inv_wapp[service];
-
-        self.undo_stack.push((Delta::Demote { slot: i }, saved));
-        Ok(())
-    }
-
     /// Reparents `child` under `new_parent`. O(log n). In uniform mode
     /// only the two parent degrees change (Eq. 14 depends on per-agent
     /// degree, not position); in site-aware mode the child's own cycle
@@ -1289,15 +1243,6 @@ impl IncrementalEval {
                 if self.site.is_some() {
                     self.svc_site_servers
                         [self.service_of[slot] * self.site_count + self.sites[slot]] += 1;
-                }
-            }
-            Delta::Demote { slot } => {
-                self.roles[slot] = Role::Agent;
-                self.server_count -= 1;
-                self.svc_server_count[self.service_of[slot]] -= 1;
-                if self.site.is_some() {
-                    self.svc_site_servers
-                        [self.service_of[slot] * self.site_count + self.sites[slot]] -= 1;
                 }
             }
             Delta::MoveChild {
@@ -1915,6 +1860,7 @@ mod tests {
         let mut plan = DeploymentPlan::agent_server(NodeId(0), NodeId(1));
         plan.add_server(plan.root(), NodeId(2)).unwrap();
         let mut eval = IncrementalEval::from_plan(&params, &platform, &plan, &svc);
+        let original = plan.clone();
 
         plan.convert_to_agent(Slot(1)).unwrap();
         eval.promote_to_agent(Slot(1)).unwrap();
@@ -1924,12 +1870,10 @@ mod tests {
             .unwrap();
         check_parity(&eval, &params, &platform, &plan, &svc, "promote+grow");
 
-        // Demote path: retract the child, then the promotion.
+        // Retract the child, then the promotion.
         eval.undo();
-        eval.demote_to_server(Slot(1)).unwrap();
-        plan.remove_last(Slot(3)).unwrap();
-        plan.convert_to_server(Slot(1)).unwrap();
-        check_parity(&eval, &params, &platform, &plan, &svc, "demote");
+        eval.undo();
+        check_parity(&eval, &params, &platform, &original, &svc, "undo");
     }
 
     #[test]
@@ -2010,7 +1954,6 @@ mod tests {
             .is_err());
         assert!(eval.remove_server(Slot(0)).is_err());
         assert!(eval.promote_to_agent(Slot(0)).is_err());
-        assert!(eval.demote_to_server(Slot(1)).is_err());
         assert!(eval.move_child(Slot(0), Slot(0)).is_err());
         assert!(eval.move_child(Slot(1), Slot(1)).is_err());
         assert_eq!(eval.pending_deltas(), 0);
@@ -2139,7 +2082,6 @@ mod tests {
         eval.add_server_for(Slot(1), NodeId(10), platform.power(NodeId(10)), 2)
             .unwrap();
         eval.remove_server(Slot(3)).unwrap();
-        eval.demote_to_server(Slot(1)).unwrap_err(); // has a child: rejected
         eval.undo_all();
 
         for (k, &bits) in before.iter().enumerate() {
@@ -2225,7 +2167,8 @@ mod tests {
         let before = eval.rho_service_of(1).to_bits();
         eval.promote_to_agent(Slot(1)).unwrap();
         assert_eq!(eval.server_count_for(1), 0);
-        eval.demote_to_server(Slot(1)).unwrap();
+        // Undoing the promotion demotes the agent back to a server.
+        eval.undo();
         assert_eq!(eval.server_count_for(1), 1);
         assert_eq!(eval.service_of(Slot(1)), 1);
         assert_eq!(before, eval.rho_service_of(1).to_bits());

@@ -94,12 +94,6 @@ impl ModelParams {
         }
     }
 
-    /// Replaces the calibration.
-    pub fn with_calibration(mut self, calibration: MiddlewareCalibration) -> Self {
-        self.calibration = calibration;
-        self
-    }
-
     /// Replaces the per-message latency.
     pub fn with_latency(mut self, latency: Seconds) -> Self {
         self.latency = latency;

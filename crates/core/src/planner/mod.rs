@@ -29,9 +29,9 @@
 //!   round on a one-service mix.
 //! * [`revise`] — the unified revision entry point: the [`Revise`]
 //!   trait over which the autonomic control loop is generic, with the
-//!   budgeted [`OnlinePlanner`] and the unbounded [`Rebalancer`] as
-//!   backends, and the grow/reassign/convert-grow/shrink loop skeleton
-//!   the online planner runs on.
+//!   budgeted [`OnlinePlanner`] as its backend, and the
+//!   grow/reassign/convert-grow/shrink loop skeleton the online planner
+//!   runs on.
 
 pub mod baselines;
 pub mod heuristic;
@@ -50,7 +50,7 @@ pub use heuristic::HeuristicPlanner;
 pub use homogeneous::HomogeneousCsdPlanner;
 pub use mix::{MixObjective, MixPlan, MixPlanner};
 pub use online::{MixReplan, OnlinePlanner, Replan, WarmCache};
-pub use revise::{Rebalancer, Revise, ReviseError};
+pub use revise::{Revise, ReviseError};
 pub use roundrobin::RoundRobinPlanner;
 pub use sweep::SweepPlanner;
 pub use sweep_mix::{for_each_composition, SweepStats};
@@ -73,9 +73,8 @@ pub enum PlannerError {
     },
     /// A planner-specific configuration problem.
     InvalidConfig(String),
-    /// A plan-level error surfaced through a planner (e.g. a
-    /// [`SweepPlanner::max_agents`](sweep::SweepPlanner::max_agents) cap
-    /// leaving no server: [`adept_hierarchy::PlanError::NotEnoughServers`]).
+    /// A plan-level error surfaced through a planner (e.g. a plan and
+    /// server assignment the incremental engine cannot load).
     Plan(adept_hierarchy::PlanError),
 }
 

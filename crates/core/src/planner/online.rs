@@ -27,9 +27,8 @@
 //! on the batched [`IncrementalEval`]: a single-service
 //! [`replan`](OnlinePlanner::replan) is a one-service
 //! [`replan_mix`](OnlinePlanner::replan_mix) round. The public
-//! [`Revise`](super::Revise) trait exposes this planner (and the
-//! improver-backed [`Rebalancer`](super::Rebalancer)) behind one entry
-//! point for the autonomic control loop.
+//! [`Revise`](super::Revise) trait is the entry point through which the
+//! autonomic control loop calls this planner.
 
 // audit: allow-file(unwrap, "online engine: every escape is a documented-invariant
 // .expect on state this module itself maintains; the churn/replay parity tests
@@ -150,11 +149,6 @@ impl WarmCache {
     /// Drops any cached engine state; the next replan rebuilds cold.
     pub fn invalidate(&mut self) {
         self.state = None;
-    }
-
-    /// True when a reusable engine state is cached.
-    pub fn is_warm(&self) -> bool {
-        self.state.is_some()
     }
 
     /// Rounds that seeded from cached state.

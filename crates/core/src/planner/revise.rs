@@ -1,26 +1,21 @@
 //! The unified revision entry point.
 //!
-//! Two code paths revise a *running* deployment: the budgeted online
-//! replanner, whose single-service round is a one-service mix round,
-//! and the improver's unbounded-disruption rebalance. The online
-//! replanner's grow / reassign / convert-grow / shrink probe loop lives
-//! here (the crate-private `drive` function over the `ReviseOps` move
-//! trait), and the public [`Revise`] trait gives callers — most
-//! importantly the autonomic controller in `adept-control` — one entry
-//! point to swap revision backends behind:
-//!
-//! * [`OnlinePlanner`](super::OnlinePlanner) — incremental revision
-//!   under a disruption budget (the default for live traffic);
-//! * [`Rebalancer`] — the improver's revision path: maximal model
-//!   quality, no disruption bound (maintenance windows, cold restarts).
+//! The budgeted online replanner revises a *running* deployment; its
+//! single-service round is a one-service mix round. Its grow / reassign
+//! / convert-grow / shrink probe loop lives here (the crate-private
+//! `drive` function over the `ReviseOps` move trait), and the public
+//! [`Revise`] trait gives callers — most importantly the autonomic
+//! controller in `adept-control` — one entry point to the revision
+//! backend: [`OnlinePlanner`](super::OnlinePlanner), incremental
+//! revision under a disruption budget. The controller holds a
+//! `Box<dyn Revise>`, so a caller can wrap the planner (to time it,
+//! say) without the controller knowing.
 
-use super::improve;
 use super::online::{MixReplan, Replan, WarmCache};
-use super::{MixPlanner, PlannerError};
+use super::PlannerError;
 use crate::model::mix::ServerAssignment;
-use crate::model::ModelParams;
-use adept_hierarchy::{DeploymentPlan, PlanDiff, PlanError};
-use adept_platform::{NodeId, Platform};
+use adept_hierarchy::{DeploymentPlan, PlanError};
+use adept_platform::Platform;
 use adept_workload::{ClientDemand, MixDemand, ServiceMix, ServiceSpec};
 use std::fmt;
 
@@ -110,10 +105,11 @@ impl From<PlannerError> for ReviseError {
 }
 
 /// A revision backend: revises a running deployment toward a (possibly
-/// changed) demand and reports the transition as a [`PlanDiff`]-carrying
-/// result. The autonomic control loop is generic over this trait.
+/// changed) demand and reports the transition as a
+/// [`PlanDiff`](adept_hierarchy::PlanDiff)-carrying result. The
+/// autonomic control loop is generic over this trait.
 pub trait Revise {
-    /// Short name for reports ("online", "rebalance", ...).
+    /// Short name for reports ("online", ...).
     fn name(&self) -> &str;
 
     /// Revises a running single-service deployment.
@@ -143,16 +139,13 @@ pub trait Revise {
         demand: &MixDemand,
     ) -> Result<MixReplan, ReviseError>;
 
-    /// [`revise_mix`](Revise::revise_mix) with engine-state reuse: a
-    /// backend that can seed its search from state cached in `warm`
-    /// (see [`WarmCache`]) overrides this to skip rebuilding its
-    /// evaluation from scratch on steady-state rounds. The contract is
-    /// strict: the answer must be **bit-identical** to
-    /// [`revise_mix`](Revise::revise_mix) on the same inputs — warm
-    /// state accelerates the search, never changes it. The default
-    /// implementation invalidates `warm` and delegates cold, so
-    /// backends without reusable state (e.g. [`Rebalancer`]) stay
-    /// correct for free.
+    /// [`revise_mix`](Revise::revise_mix) with engine-state reuse: the
+    /// backend seeds its search from state cached in `warm` (see
+    /// [`WarmCache`]) instead of rebuilding its evaluation from scratch
+    /// on steady-state rounds. The contract is strict: the answer must
+    /// be **bit-identical** to [`revise_mix`](Revise::revise_mix) on the
+    /// same inputs — warm state accelerates the search, never changes
+    /// it.
     ///
     /// The *caller* owns invalidation: any mutation of the running
     /// plan, mix, or assignment outside this method must be followed by
@@ -169,10 +162,7 @@ pub trait Revise {
         assignment: &ServerAssignment,
         demand: &MixDemand,
         warm: &mut WarmCache,
-    ) -> Result<MixReplan, ReviseError> {
-        warm.invalidate();
-        self.revise_mix(platform, running, mix, assignment, demand)
-    }
+    ) -> Result<MixReplan, ReviseError>;
 }
 
 impl Revise for super::OnlinePlanner {
@@ -214,136 +204,6 @@ impl Revise for super::OnlinePlanner {
     ) -> Result<MixReplan, ReviseError> {
         Ok(self.replan_mix_warm(platform, running, mix, assignment, demand, warm)?)
     }
-}
-
-/// The improver's revision path behind the [`Revise`] entry point:
-/// single-service revision runs the iterative bottleneck-removal pass
-/// ([`improve::rebalance`]), mix revision re-plans jointly from scratch
-/// with the [`MixPlanner`]. Both optimize with **no disruption bound** —
-/// the diff may rewire the whole tree — which is the right trade in a
-/// maintenance window and the wrong one under live traffic.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Rebalancer {
-    /// Optional model-parameter override.
-    pub params: Option<ModelParams>,
-}
-
-impl Revise for Rebalancer {
-    fn name(&self) -> &str {
-        "rebalance"
-    }
-
-    fn revise(
-        &self,
-        platform: &Platform,
-        running: &DeploymentPlan,
-        service: &ServiceSpec,
-        demand: ClientDemand,
-    ) -> Result<Replan, ReviseError> {
-        let params = super::resolve_params(self.params, platform);
-        let plan = improve::rebalance(&params, platform, running, service, demand);
-        let rho = params.evaluate(platform, &plan, service).rho;
-        Ok(Replan {
-            diff: PlanDiff::between(running, &plan),
-            plan,
-            rho,
-        })
-    }
-
-    fn revise_mix(
-        &self,
-        platform: &Platform,
-        running: &DeploymentPlan,
-        mix: &ServiceMix,
-        assignment: &ServerAssignment,
-        demand: &MixDemand,
-    ) -> Result<MixReplan, ReviseError> {
-        let planner = MixPlanner {
-            params: self.params,
-            ..MixPlanner::default()
-        };
-        let got = planner.plan_mix(platform, mix, demand)?;
-        // A live deployment cannot hot-swap its master agent, but the
-        // from-scratch planner roots wherever it likes (e.g. after a
-        // deploy-time spare substituted the root). Re-root the revised
-        // plan on the running root — swapping the two node ids — so the
-        // diff stays compilable into a migration script.
-        let run_root = running.node(running.root());
-        let new_root = got.plan.node(got.plan.root());
-        let (plan, assignment_new, report) = if new_root == run_root {
-            (got.plan, got.assignment, got.report)
-        } else {
-            let plan = swap_nodes(&got.plan, new_root, run_root);
-            let mut assignment_new = got.assignment;
-            // If the running root served somewhere in the revised plan,
-            // the displaced planner-root takes that position over.
-            if let Some(service) = assignment_new.service_of.remove(&run_root) {
-                assignment_new.service_of.insert(new_root, service);
-            }
-            let params = super::resolve_params(self.params, platform);
-            let report =
-                crate::model::mix::evaluate_mix(&params, platform, &plan, mix, &assignment_new)?;
-            (plan, assignment_new, report)
-        };
-        // Servers present in both deployments whose hosted service
-        // changed are reinstalls, like the online path's reassignments.
-        let reassigned: Vec<(NodeId, usize, usize)> = assignment_new
-            .service_of
-            .iter()
-            .filter_map(|(&node, &to)| {
-                assignment
-                    .service(node)
-                    .filter(|&from| from != to)
-                    .map(|from| (node, from, to))
-            })
-            .collect();
-        Ok(MixReplan {
-            diff: PlanDiff::between(running, &plan),
-            plan,
-            assignment: assignment_new,
-            reassigned,
-            report,
-        })
-    }
-}
-
-/// Rebuilds `plan` with the platform nodes `a` and `b` exchanged. When
-/// `b` is not in the plan, `a` is simply replaced by `b`.
-fn swap_nodes(plan: &DeploymentPlan, a: NodeId, b: NodeId) -> DeploymentPlan {
-    let swap = |n: NodeId| {
-        if n == a {
-            b
-        } else if n == b {
-            a
-        } else {
-            n
-        }
-    };
-    let mut rebuilt = DeploymentPlan::with_root(swap(plan.node(plan.root())));
-    let mut map = std::collections::HashMap::new();
-    map.insert(plan.root(), rebuilt.root());
-    for s in plan.bfs_order().into_iter().skip(1) {
-        // audit: allow(unwrap, "plan-surgery invariant documented in the
-        // expect message; the revision parity tests exercise this path")
-        let parent = map[&plan.parent(s).expect("non-root has a parent")];
-        let node = swap(plan.node(s));
-        let slot = match plan.role(s) {
-            adept_hierarchy::Role::Agent => rebuilt
-                .add_agent(parent, node)
-                // audit: allow(unwrap, "plan-surgery invariant documented in
-                // the expect message; the revision parity tests exercise this
-                // path")
-                .expect("swapping two ids preserves uniqueness"),
-            adept_hierarchy::Role::Server => rebuilt
-                .add_server(parent, node)
-                // audit: allow(unwrap, "plan-surgery invariant documented in
-                // the expect message; the revision parity tests exercise this
-                // path")
-                .expect("swapping two ids preserves uniqueness"),
-        };
-        map.insert(s, slot);
-    }
-    rebuilt
 }
 
 #[cfg(test)]
@@ -446,97 +306,6 @@ mod tests {
             .unwrap();
         assert!(traited.plan.structurally_eq(&direct.plan));
         assert_eq!(traited.diff, direct.diff);
-    }
-
-    #[test]
-    fn rebalancer_revision_diff_is_executable() {
-        // The improver path reports an unbounded diff; applying it to
-        // the running plan must reconstruct the revised plan exactly
-        // (the diff is the migration artifact).
-        let platform = lyon_cluster(40);
-        let svc = Dgemm::new(310).service();
-        let running = crate::planner::StarPlanner
-            .plan(&platform, &svc, ClientDemand::Unbounded)
-            .unwrap();
-        let revised = Rebalancer::default()
-            .revise(&platform, &running, &svc, ClientDemand::Unbounded)
-            .unwrap();
-        let before = ModelParams::from_platform(&platform)
-            .evaluate(&platform, &running, &svc)
-            .rho;
-        assert!(revised.rho > before, "rebalance must improve the star");
-        let patched = revised.diff.apply(&running).unwrap();
-        assert!(patched.structurally_eq(&revised.plan));
-    }
-
-    #[test]
-    fn rebalancer_mix_revision_reports_reinstalls() {
-        let platform = lyon_cluster(24);
-        let mix = ServiceMix::new(vec![
-            (Dgemm::new(310).service(), 1.0),
-            (Dgemm::new(1000).service(), 1.0),
-        ]);
-        let planner = MixPlanner::default();
-        let got = planner
-            .plan_mix(&platform, &mix, &MixDemand::targets(vec![2.0, 0.2]))
-            .unwrap();
-        // Demand flips: the from-scratch reviser re-plans and any server
-        // kept on both plans but switching service shows as a reinstall.
-        let demand = MixDemand::targets(vec![0.2, 0.4]);
-        let revised = Rebalancer::default()
-            .revise_mix(&platform, &got.plan, &mix, &got.assignment, &demand)
-            .unwrap();
-        let rates = revised.report.rho_service.clone();
-        assert!(demand.satisfied_by(revised.report.rho_sched, &rates));
-        for &(node, from, to) in &revised.reassigned {
-            assert_eq!(got.assignment.service(node), Some(from));
-            assert_eq!(revised.assignment.service(node), Some(to));
-            assert_ne!(from, to);
-        }
-    }
-
-    #[test]
-    fn rebalancer_mix_revision_keeps_the_running_root() {
-        // The running deployment is rooted on a node the from-scratch
-        // planner would never pick (e.g. a spare that substituted a
-        // failed root at deploy time). The revised plan must stay
-        // rooted there — a live migration cannot hot-swap the master
-        // agent — and its diff must compile into a migration script.
-        let platform = lyon_cluster(20);
-        let mix = ServiceMix::new(vec![
-            (Dgemm::new(310).service(), 1.0),
-            (Dgemm::new(1000).service(), 1.0),
-        ]);
-        let mut running = DeploymentPlan::with_root(adept_platform::NodeId(5));
-        let mut asg = ServerAssignment::default();
-        for (i, node) in [0u32, 1, 2].into_iter().enumerate() {
-            let id = adept_platform::NodeId(node);
-            running.add_server(running.root(), id).unwrap();
-            asg.service_of.insert(id, i % 2);
-        }
-        let demand = MixDemand::targets(vec![1.0, 0.4]);
-        let revised = Rebalancer::default()
-            .revise_mix(&platform, &running, &mix, &asg, &demand)
-            .unwrap();
-        assert_eq!(
-            revised.plan.node(revised.plan.root()),
-            adept_platform::NodeId(5),
-            "the master agent stays in place"
-        );
-        adept_godiet_compile_check(&running, &revised.plan);
-        let rates = revised.report.rho_service.clone();
-        assert!(demand.satisfied_by(revised.report.rho_sched, &rates));
-    }
-
-    /// The compile rule the controller relies on, restated locally (the
-    /// core crate does not depend on godiet): the revised plan keeps
-    /// the running root, so the transition contains no root change.
-    fn adept_godiet_compile_check(running: &DeploymentPlan, revised: &DeploymentPlan) {
-        assert_eq!(
-            running.node(running.root()),
-            revised.node(revised.root()),
-            "root changes are not migratable"
-        );
     }
 
     #[test]

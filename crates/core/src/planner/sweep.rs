@@ -80,11 +80,10 @@ use super::realize::HeapEntry;
 use super::{resolve_params, Planner, PlannerError};
 use crate::model::throughput::{sch_pow, service_rate_from_sums};
 use crate::model::{batch, comm, IncrementalEval, ModelParams};
-use adept_hierarchy::{DeploymentPlan, PlanError, Slot};
+use adept_hierarchy::{DeploymentPlan, Slot};
 use adept_platform::{NodeId, Platform};
 use adept_workload::{ClientDemand, ServiceMix, ServiceSpec};
 use std::collections::BinaryHeap;
-use std::time::Duration;
 
 /// Strict-improvement resolution of the sweep: ties within this margin
 /// keep the earlier (fewer-agents, fewer-nodes) configuration.
@@ -201,12 +200,6 @@ pub struct SweepPlanner {
     /// sequentially. The chosen plan does not depend on the worker
     /// count.
     pub threads: Option<usize>,
-    /// Optional cap on the swept agent count `k`; `None` (default)
-    /// sweeps every feasible count. A cap of `0` is a configuration
-    /// error, and a cap of `n` or more nodes is
-    /// [`PlanError::NotEnoughServers`] — honoring it would leave no
-    /// node to serve, so the sweep range would silently be empty.
-    pub max_agents: Option<usize>,
     /// Coarsen-then-refine: truncate every swept node list to its
     /// `saturation_budget` before scanning (and bound phase 2's
     /// per-site spare pools the same way). `None` (default) turns the
@@ -223,19 +216,6 @@ pub struct SweepPlanner {
     /// grid auto-activates by swept-list size under `None`). See the
     /// [`sweep_mix`](super::sweep_mix) module docs.
     pub coarsen: Option<bool>,
-    /// Anytime knob for the mix reference
-    /// ([`best_mix_plan`](SweepPlanner::best_mix_plan) and
-    /// [`best_mix_plan_stats`](SweepPlanner::best_mix_plan_stats)):
-    /// `Some(budget)` stops the composition walk when the wall-clock
-    /// budget expires and returns the best configuration found so far,
-    /// with [`SweepStats::truncated`](super::sweep_mix::SweepStats::truncated)
-    /// raised. `None` (default) runs to completion. A truncated sweep
-    /// is still a valid plan — at worst the warm-start seed — but it is
-    /// **not** deterministic across machines (wall clocks differ), so
-    /// leave it off wherever bit-reproducibility matters. Ignored by
-    /// the single-service [`best_plan`](SweepPlanner::best_plan), whose
-    /// scan is quadratic, not exponential, and needs no bail-out.
-    pub time_budget: Option<Duration>,
 }
 
 impl SweepPlanner {
@@ -252,30 +232,6 @@ impl SweepPlanner {
             threads: Some(threads),
             ..Self::default()
         }
-    }
-
-    /// Validates [`max_agents`](Self::max_agents) against the platform
-    /// size, so a nonsensical cap surfaces as a typed error instead of
-    /// an empty sweep range reporting "no feasible deployment".
-    pub(crate) fn validate_max_agents(&self, n: usize) -> Result<(), PlannerError> {
-        match self.max_agents {
-            Some(0) => Err(PlannerError::InvalidConfig(
-                "max_agents must be at least 1 (the root is an agent)".into(),
-            )),
-            Some(m) if m >= n => Err(PlannerError::Plan(PlanError::NotEnoughServers {
-                needed: 1,
-                available: n.saturating_sub(m),
-            })),
-            _ => Ok(()),
-        }
-    }
-
-    /// The agent-count range swept over `n_local` nodes: the global cap
-    /// (already validated) clamped to the local node list.
-    pub(crate) fn k_cap(&self, n_local: usize) -> usize {
-        self.max_agents
-            .unwrap_or(n_local - 1)
-            .min(n_local.saturating_sub(1))
     }
 
     /// Whether a swept list of `n_local` nodes gets the saturation
@@ -303,8 +259,8 @@ impl SweepPlanner {
 
     /// Worker-thread count for a loop over `n_local` items, honoring
     /// [`threads`](Self::threads) and the spawn-overhead threshold;
-    /// `cap` bounds useful parallelism (e.g. `k_cap` for the k-loop, the
-    /// site count for per-site refinement).
+    /// `cap` bounds useful parallelism (e.g. the agent-count range for
+    /// the k-loop, the site count for per-site refinement).
     pub(crate) fn worker_count(&self, n_local: usize, cap: usize) -> usize {
         if n_local < PARALLEL_THRESHOLD {
             return 1;
@@ -471,11 +427,7 @@ impl SweepPlanner {
     /// (hetero) model's.
     ///
     /// # Errors
-    /// [`PlannerError::NotEnoughNodes`] below two nodes;
-    /// [`PlannerError::InvalidConfig`] for a zero
-    /// [`max_agents`](Self::max_agents) cap and
-    /// [`PlanError::NotEnoughServers`] (wrapped) for a cap that leaves
-    /// no server below it.
+    /// [`PlannerError::NotEnoughNodes`] below two nodes.
     pub fn best_plan(
         &self,
         platform: &Platform,
@@ -488,7 +440,6 @@ impl SweepPlanner {
                 available: n,
             });
         }
-        self.validate_max_agents(n)?;
         let params = resolve_params(self.params, platform);
         if params.uses_link_bandwidths(platform) {
             // Also taken for a single-site PerSitePair network: the
@@ -532,11 +483,10 @@ impl SweepPlanner {
             transfer: comm::service_transfer_time(params).value(),
         };
 
-        let k_cap = self.k_cap(n);
         let workers = self.worker_count(n, n - 1);
         // Claim index i scans k = i + 1; the per-k winners come back in
         // ascending k order whatever the worker count.
-        let per_k = crate::par_claim(workers, k_cap, |i| scan_k(&ctx, n, i + 1));
+        let per_k = crate::par_claim(workers, n - 1, |i| scan_k(&ctx, n, i + 1));
         let best = merge_in_k_order(per_k.into_iter().flatten());
 
         let cfg =
@@ -722,10 +672,8 @@ impl SweepPlanner {
     ///
     /// `candidates` are the service indices a new server may host (`&[0]`
     /// for a single-service evaluator); `score` is the objective (ρ, or a
-    /// mix objective). [`max_agents`] is honored across the open and
-    /// steal moves (phase 1 already respects it per site). Probes are
-    /// engine deltas undone before the next probe, so the evaluator is
-    /// bit-exactly unchanged on rejection.
+    /// mix objective). Probes are engine deltas undone before the next
+    /// probe, so the evaluator is bit-exactly unchanged on rejection.
     ///
     /// When coarsening is active for the largest site, every site's spare
     /// pool is cut at its [`saturation_budget`] under `wapp_cap`, against
@@ -739,7 +687,6 @@ impl SweepPlanner {
     /// maximizes the budget. With coarsening off the pool is every unused
     /// node of the list.
     ///
-    /// [`max_agents`]: SweepPlanner::max_agents
     /// [`site_lists`]: SweepPlanner::site_lists
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn extend_across_sites(
@@ -756,8 +703,6 @@ impl SweepPlanner {
         debug_assert!(eval.is_site_aware());
         debug_assert_eq!(eval.pending_deltas(), 0, "grow from a committed state");
         let largest_site = lists.iter().map(Vec::len).max().unwrap_or(0);
-        let agent_budget = self.max_agents.unwrap_or(usize::MAX);
-        let mut agent_count = eval.agents().count();
         // Each list opens with its site's strongest node.
         let strongest = self.coarsen_active(largest_site).then(|| {
             lists
@@ -821,7 +766,7 @@ impl SweepPlanner {
                                 consider(CrossSiteMove::Attach { mid, service }, sc, &mut best);
                             }
                         }
-                        if spare[site_idx].len() >= 2 && agent_count < agent_budget {
+                        if spare[site_idx].len() >= 2 {
                             let first = spare[site_idx][spare[site_idx].len() - 2];
                             let first_power = platform.power(first);
                             let mid = eval
@@ -857,7 +802,6 @@ impl SweepPlanner {
                                     eval.add_server_for(mid, first, platform.power(first), service)
                                         .expect("probe just succeeded");
                                     mids[site_idx].push(mid);
-                                    agent_count += 1;
                                     spare[site_idx].pop();
                                     spare[site_idx].pop();
                                 }
@@ -874,23 +818,19 @@ impl SweepPlanner {
                     // (`promote_and_steal`), relieving the bottleneck
                     // without sacrificing any server's Eq. 15 capacity and
                     // re-opening attach headroom for the next rounds.
-                    let steal_worked = match spare[site_idx].last() {
-                        Some(&node) if agent_count < agent_budget => {
-                            let mid = eval
-                                .add_server(root, node, platform.power(node))
-                                .expect("spare nodes are unused");
-                            // On failure promote_and_steal has already
-                            // unwound everything, the root attach included.
-                            super::realize::promote_and_steal(params, eval, mid).then_some(mid)
-                        }
-                        _ => None,
-                    };
+                    let steal_worked = spare[site_idx].last().and_then(|&node| {
+                        let mid = eval
+                            .add_server(root, node, platform.power(node))
+                            .expect("spare nodes are unused");
+                        // On failure promote_and_steal has already
+                        // unwound everything, the root attach included.
+                        super::realize::promote_and_steal(params, eval, mid).then_some(mid)
+                    });
                     if let Some(mid) = steal_worked {
                         let sc = score(eval);
                         if sc > base * (1.0 + TIE_EPS) {
                             eval.commit();
                             mids[site_idx].push(mid);
-                            agent_count += 1;
                             spare[site_idx].pop();
                             grew = true;
                             continue;
@@ -1292,119 +1232,5 @@ mod tests {
             .unwrap();
         assert_eq!(rho0.to_bits(), rho_seq.to_bits());
         assert!(plan0.structurally_eq(&plan_seq));
-    }
-
-    #[test]
-    fn max_agents_cap_binds_on_both_paths() {
-        // 80 nodes crosses PARALLEL_THRESHOLD so the capped k-queue is
-        // exercised on the threaded path too.
-        let platform = heterogenized_cluster(
-            "orsay",
-            80,
-            MflopRate(400.0),
-            BackgroundLoad::default(),
-            CapacityProbe::exact(),
-            3,
-        );
-        let svc = Dgemm::new(100).service();
-        let (free_plan, free_rho) = SweepPlanner::default().best_plan(&platform, &svc).unwrap();
-        assert!(
-            free_plan.agent_count() > 1,
-            "scenario must need more than one agent for the cap to bind"
-        );
-        for planner in [
-            SweepPlanner {
-                max_agents: Some(1),
-                ..SweepPlanner::sequential()
-            },
-            SweepPlanner {
-                max_agents: Some(1),
-                threads: Some(2),
-                ..SweepPlanner::default()
-            },
-        ] {
-            let (plan, rho) = planner.best_plan(&platform, &svc).unwrap();
-            assert_eq!(plan.agent_count(), 1, "the cap must bind");
-            assert!(
-                rho <= free_rho * (1.0 + 1e-12),
-                "a capped family cannot beat the free sweep"
-            );
-        }
-        // The cap must also hold across the multi-site phase 2, whose
-        // Open/steal moves add agents outside the per-site scans.
-        use adept_platform::generator::multi_site_grid;
-        use adept_platform::MbitRate;
-        let grid = multi_site_grid(2, 18, MflopRate(400.0), MbitRate(100.0), MbitRate(10.0), 7);
-        let free = SweepPlanner::default().best_plan(&grid, &svc).unwrap().0;
-        assert!(free.agent_count() > 2, "phase 2 must want extra agents");
-        for cap in [1usize, 2] {
-            let (plan, _) = SweepPlanner {
-                max_agents: Some(cap),
-                ..SweepPlanner::default()
-            }
-            .best_plan(&grid, &svc)
-            .unwrap();
-            assert!(
-                plan.agent_count() <= cap,
-                "cap {cap} violated: {} agents",
-                plan.agent_count()
-            );
-        }
-    }
-
-    #[test]
-    fn max_agents_beyond_the_platform_is_a_typed_error() {
-        use adept_hierarchy::PlanError;
-        let platform = lyon_cluster(10);
-        let svc = Dgemm::new(310).service();
-        // A cap of n (or more) leaves no server below it: previously an
-        // empty sweep range, now a typed NotEnoughServers.
-        for cap in [10usize, 11] {
-            for planner in [
-                SweepPlanner {
-                    max_agents: Some(cap),
-                    ..SweepPlanner::sequential()
-                },
-                SweepPlanner {
-                    max_agents: Some(cap),
-                    threads: Some(2),
-                    ..SweepPlanner::default()
-                },
-            ] {
-                assert!(
-                    matches!(
-                        planner.best_plan(&platform, &svc),
-                        Err(PlannerError::Plan(PlanError::NotEnoughServers {
-                            needed: 1,
-                            ..
-                        }))
-                    ),
-                    "cap {cap} must be NotEnoughServers"
-                );
-            }
-        }
-        // A zero cap is a configuration error (the root is an agent).
-        assert!(matches!(
-            SweepPlanner {
-                max_agents: Some(0),
-                ..SweepPlanner::default()
-            }
-            .best_plan(&platform, &svc),
-            Err(PlannerError::InvalidConfig(_))
-        ));
-        // The mix-aware reference validates the same way.
-        use adept_workload::ServiceMix;
-        let mix = ServiceMix::new(vec![
-            (Dgemm::new(310).service(), 1.0),
-            (Dgemm::new(450).service(), 1.0),
-        ]);
-        assert!(matches!(
-            SweepPlanner {
-                max_agents: Some(10),
-                ..SweepPlanner::default()
-            }
-            .best_mix_plan(&platform, &mix, crate::planner::MixObjective::WeightedMin),
-            Err(PlannerError::Plan(PlanError::NotEnoughServers { .. }))
-        ));
     }
 }

@@ -91,9 +91,7 @@
 //!
 //! Every visited grid point lands in exactly one [`SweepStats`] bucket
 //! (`visited == expanded + pruned()` is a tested invariant), so the
-//! speedup is observable rather than asserted; the
-//! [`time_budget`](SweepPlanner::time_budget) anytime knob bounds the
-//! walk by wall clock and raises [`SweepStats::truncated`].
+//! speedup is observable rather than asserted.
 //!
 //! # Objectives, dealing and the hindsight redeal
 //!
@@ -158,7 +156,6 @@ use adept_platform::{MflopRate, NodeId, Platform};
 use adept_workload::ServiceMix;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Swept-list size above which the composition grid auto-activates
 /// under `coarsen: None` (`Some(true)`/`Some(false)` force it on/off).
@@ -177,9 +174,6 @@ const DOM_FRONT_CAP: usize = 24;
 /// Hill-climb step cap for the post-grid refinement (each step is the
 /// best of O(parts²) replays; a fixed point lands long before this).
 const MAX_REFINE_STEPS: usize = 128;
-
-/// Visited-node interval between wall-clock reads inside a walk.
-const DEADLINE_CHECK_INTERVAL: u64 = 32;
 
 /// Search telemetry for one [`best_mix_plan_stats`] call: where the
 /// composition walk spent (and saved) its nodes. Every visited grid
@@ -211,9 +205,6 @@ pub struct SweepStats {
     pub pruned_by_dominance: u64,
     /// Accepted hill-climb moves while refining the gridded winner.
     pub refine_steps: u64,
-    /// The [`time_budget`](SweepPlanner::time_budget) expired and the
-    /// result is best-so-far, not the family optimum.
-    pub truncated: bool,
 }
 
 impl SweepStats {
@@ -222,7 +213,7 @@ impl SweepStats {
         self.pruned_by_bound + self.pruned_by_cap + self.pruned_by_dominance
     }
 
-    /// Accumulates another stats block (counter sums, `truncated` OR).
+    /// Accumulates another stats block (counter sums).
     pub(crate) fn absorb(&mut self, other: &SweepStats) {
         self.visited += other.visited;
         self.expanded += other.expanded;
@@ -230,7 +221,6 @@ impl SweepStats {
         self.pruned_by_cap += other.pruned_by_cap;
         self.pruned_by_dominance += other.pruned_by_dominance;
         self.refine_steps += other.refine_steps;
-        self.truncated |= other.truncated;
     }
 }
 
@@ -248,10 +238,6 @@ fn ordered_bits(x: f64) -> u64 {
 
 fn from_ordered_bits(b: u64) -> f64 {
     f64::from_bits(if b >> 63 == 1 { b & !(1 << 63) } else { !b })
-}
-
-fn past_deadline(deadline: Option<Instant>) -> bool {
-    deadline.is_some_and(|d| Instant::now() >= d)
 }
 
 /// Calls `visit` with every composition of `total` into exactly `parts`
@@ -325,8 +311,6 @@ struct MixCtx<'a> {
     /// Rate-front dominance pruning on (Some(false) switches the
     /// accelerators off: the exact reference walk).
     dominance: bool,
-    /// Anytime wall-clock bound, if any.
-    deadline: Option<Instant>,
 }
 
 /// The waterfill schedule for a fixed agent count: which agent receives
@@ -407,8 +391,6 @@ struct MixWalk<'a, 'b> {
     /// Expanded-prefix rate vectors for dominance pruning, keyed by
     /// `(depth, servers placed)`.
     fronts: HashMap<(usize, usize), Vec<Vec<f64>>>,
-    /// Visits since the last wall-clock read.
-    ticks: u64,
 }
 
 impl MixWalk<'_, '_> {
@@ -482,25 +464,6 @@ impl MixWalk<'_, '_> {
         }
     }
 
-    /// Whether the anytime deadline has expired (wall clock read every
-    /// [`DEADLINE_CHECK_INTERVAL`] visits; sticky once raised).
-    fn expired(&mut self) -> bool {
-        let Some(deadline) = self.ctx.deadline else {
-            return false;
-        };
-        if self.stats.truncated {
-            return true;
-        }
-        self.ticks += 1;
-        if self.ticks >= DEADLINE_CHECK_INTERVAL {
-            self.ticks = 0;
-            if Instant::now() >= deadline {
-                self.stats.truncated = true;
-            }
-        }
-        self.stats.truncated
-    }
-
     /// The fixed per-service Eq. 15 rates of the current prefix
     /// (`0..=depth`, raw). Two prefixes at the same
     /// `(depth, servers placed)` share the scheduling rate, the
@@ -568,9 +531,6 @@ impl MixWalk<'_, '_> {
         let mut added = 0usize;
         let mut c = 0usize;
         while c < cmax {
-            if self.expired() {
-                break;
-            }
             // The first count is always 1 (every demanded service gets
             // a server); the final block clamps to the budget.
             let take = if c == 0 { 1 } else { step.min(cmax - c) };
@@ -674,7 +634,6 @@ fn scan_k_mix(
         best: None,
         stats: SweepStats::default(),
         fronts: HashMap::new(),
-        ticks: 0,
     };
     walk.descend(0, s_max);
     stats.absorb(&walk.stats);
@@ -706,10 +665,6 @@ fn refine_k_window(
         if (k - 1) % ctx.k_block == 0 {
             continue; // a grid line the family walk already swept
         }
-        if past_deadline(ctx.deadline) {
-            stats.truncated = true;
-            break;
-        }
         let incumbent = best
             .as_ref()
             .map_or(warm_obj, |b| warm_obj.max(b.objective));
@@ -728,8 +683,8 @@ fn refine_k_window(
 /// Local hill climb on the gridded walk's winning configuration: the
 /// best strict improvement among ±1 agent (at the same composition),
 /// ±1 per digit, and single-server moves between digit pairs is taken
-/// (first wins ties) until a fixed point, [`MAX_REFINE_STEPS`], or the
-/// deadline. The agent moves are what make the `k_block` stride safe —
+/// (first wins ties) until a fixed point or [`MAX_REFINE_STEPS`]. The
+/// agent moves are what make the `k_block` stride safe —
 /// they walk the winner off its grid line to the local k optimum.
 /// Every candidate is scored by a fresh replay — the exact computation
 /// the final winner replay performs — so the refined objective stays
@@ -772,10 +727,6 @@ fn refine_cfg(ctx: &MixCtx<'_>, cfg: &mut KMixBest, stats: &mut SweepStats) {
         Some(objective_score(ctx.objective, &eval))
     };
     for _ in 0..MAX_REFINE_STEPS {
-        if past_deadline(ctx.deadline) {
-            stats.truncated = true;
-            return;
-        }
         let mut best_move: Option<(usize, Vec<usize>, f64)> = None;
         {
             let mut consider = |k: usize, counts: Vec<usize>| {
@@ -914,9 +865,7 @@ impl SweepPlanner {
     ///
     /// # Errors
     /// [`PlannerError::NotEnoughNodes`] when the platform cannot seat
-    /// the root plus one server per demanded service, and the
-    /// [`max_agents`](SweepPlanner::max_agents) errors of
-    /// [`best_plan`](SweepPlanner::best_plan).
+    /// the root plus one server per demanded service.
     pub fn best_mix_plan(
         &self,
         platform: &Platform,
@@ -929,10 +878,8 @@ impl SweepPlanner {
 
     /// [`best_mix_plan`](SweepPlanner::best_mix_plan) plus the
     /// [`SweepStats`] search telemetry: how many composition-walk nodes
-    /// were expanded vs pruned (and why), how many refinement steps the
-    /// gridded winner took, and whether the
-    /// [`time_budget`](SweepPlanner::time_budget) truncated the search.
-    /// The single-demanded-service delegation runs no composition walk
+    /// were expanded vs pruned (and why) and how many refinement steps
+    /// the gridded winner took. The single-demanded-service delegation runs no composition walk
     /// and reports default (all-zero) stats.
     ///
     /// # Errors
@@ -952,7 +899,6 @@ impl SweepPlanner {
                 available: n,
             });
         }
-        self.validate_max_agents(n)?;
         let params = resolve_params(self.params, platform);
         if let [only] = candidates[..] {
             let plan = self.single_candidate_mix_plan(platform, mix, &params, only)?;
@@ -1013,10 +959,7 @@ impl SweepPlanner {
     /// re-scored on a fresh engine build so the value is bit-stable
     /// against everything the sweep compares it to. `None` when the
     /// heuristic cannot run or must not: the exact reference walk
-    /// (`coarsen == Some(false)`) keeps the pre-acceleration semantics,
-    /// and [`max_agents`](SweepPlanner::max_agents) is a cap
-    /// `MixPlanner` does not honor — seeding from it could both prune
-    /// unsoundly and fall back to a cap-violating plan.
+    /// (`coarsen == Some(false)`) keeps the pre-acceleration semantics.
     fn mix_warm_seed(
         &self,
         params: &ModelParams,
@@ -1024,7 +967,7 @@ impl SweepPlanner {
         mix: &ServiceMix,
         objective: MixObjective,
     ) -> Option<(DeploymentPlan, ServerAssignment, f64)> {
-        if self.coarsen == Some(false) || self.max_agents.is_some() {
+        if self.coarsen == Some(false) {
             return None;
         }
         let heur = MixPlanner {
@@ -1102,7 +1045,6 @@ impl SweepPlanner {
             blocks,
             k_block,
             dominance: self.coarsen != Some(false),
-            deadline: self.time_budget.map(|b| Instant::now() + b),
         }
     }
 
@@ -1133,10 +1075,6 @@ impl SweepPlanner {
                 if k > k_cap {
                     break;
                 }
-                if past_deadline(ctx.deadline) {
-                    stats.truncated = true;
-                    break;
-                }
                 let incumbent = best
                     .as_ref()
                     .map_or(warm_obj, |b| warm_obj.max(b.objective));
@@ -1158,10 +1096,6 @@ impl SweepPlanner {
         let shared = AtomicU64::new(ordered_bits(warm_obj));
         let per_k = crate::par_claim(workers, k_cap.div_ceil(k_block), |i| {
             let mut local = SweepStats::default();
-            if past_deadline(ctx.deadline) {
-                local.truncated = true;
-                return (None, local);
-            }
             // Acquire/AcqRel pair: the incumbent bound is data another
             // worker computed, so the reader must synchronize with the
             // publishing fetch_max (see the module-level concurrency note).
@@ -1213,9 +1147,8 @@ impl SweepPlanner {
             });
         }
         let ctx = self.make_mix_ctx(params, platform, mix, objective, candidates, nodes);
-        let k_cap = self.k_cap(n).min(n - parts);
         let workers = self.worker_count(n, n - 1);
-        let best = self.best_family_cfg(&ctx, k_cap, workers, warm_obj, stats);
+        let best = self.best_family_cfg(&ctx, n - parts, workers, warm_obj, stats);
         let mut cfg = best.ok_or_else(|| {
             PlannerError::InvalidConfig("no feasible mix deployment found".into())
         })?;
@@ -1399,11 +1332,16 @@ impl SweepPlanner {
         let nodes = self.coarsen_nodes(&params, platform, &nodes, mix_wapp_cap(mix, &candidates));
         let ctx = self.make_mix_ctx(&params, platform, mix, objective, &candidates, nodes);
         let n = nodes.len();
-        let k_cap = self.k_cap(n).min(n - candidates.len());
         let workers = self.worker_count(n, n - 1);
         let mut stats = SweepStats::default();
-        self.best_family_cfg(&ctx, k_cap, workers, f64::NEG_INFINITY, &mut stats)
-            .map(|b| b.objective)
+        self.best_family_cfg(
+            &ctx,
+            n - candidates.len(),
+            workers,
+            f64::NEG_INFINITY,
+            &mut stats,
+        )
+        .map(|b| b.objective)
     }
 }
 
@@ -1416,7 +1354,6 @@ mod tests {
     use adept_platform::generator::{heterogenized_cluster, lyon_cluster, multi_site_grid};
     use adept_platform::{BackgroundLoad, CapacityProbe, MbitRate, SiteId};
     use adept_workload::Dgemm;
-    use std::time::Duration;
 
     fn mix2() -> ServiceMix {
         ServiceMix::new(vec![
@@ -2024,7 +1961,6 @@ mod tests {
                     "coarsen={:?} {objective:?}: {stats:?} loses nodes",
                     planner.coarsen
                 );
-                assert!(!stats.truncated, "no budget was set");
             }
         }
         // The parallel path sums per-k stats to the same invariant
@@ -2042,51 +1978,6 @@ mod tests {
             .unwrap();
         assert_eq!(stats.visited, stats.expanded + stats.pruned());
         assert!(stats.expanded > 0);
-    }
-
-    /// The anytime knob (satellite): a zero budget truncates
-    /// immediately and falls back to the warm seed — still a valid
-    /// plan — while no budget never reports truncation. Covers the
-    /// sequential fold and the threaded grid walk (80 nodes crosses
-    /// `PARALLEL_THRESHOLD`, below which the worker count is 1).
-    #[test]
-    fn time_budget_truncates_to_a_valid_best_so_far() {
-        let mix = mix3();
-        for (platform, threads) in [(lyon_cluster(40), 1usize), (lyon_cluster(80), 3)] {
-            let (plan, stats) = SweepPlanner {
-                time_budget: Some(Duration::ZERO),
-                threads: Some(threads),
-                ..SweepPlanner::default()
-            }
-            .best_mix_plan_stats(&platform, &mix, MixObjective::WeightedMin)
-            .unwrap();
-            assert!(
-                stats.truncated,
-                "threads={threads}: a zero budget must truncate"
-            );
-            assert!(plan.objective_value > 0.0);
-            assert!(validate_relaxed(&plan.plan).is_empty());
-            assert!(
-                validate_assignment(&plan.plan, &plan.assignment.service_of, mix.len()).is_empty()
-            );
-            // The fallback is exactly the warm seed's quality or better.
-            let heur = MixPlanner::default()
-                .plan_mix_unbounded(&platform, &mix)
-                .unwrap();
-            assert!(
-                plan.objective_value >= heur.objective_value * (1.0 - 1e-9),
-                "threads={threads}: truncated sweep {} below the warm seed {}",
-                plan.objective_value,
-                heur.objective_value
-            );
-            let (_, stats) = SweepPlanner::with_threads(threads)
-                .best_mix_plan_stats(&platform, &mix, MixObjective::WeightedMin)
-                .unwrap();
-            assert!(
-                !stats.truncated,
-                "threads={threads}: no budget, no truncation"
-            );
-        }
     }
 
     /// Warm incumbents make the sweep a true upper envelope: it never

@@ -77,33 +77,24 @@ pub struct DeploymentReport {
     /// `(failed_node, spare_node)` substitutions performed.
     pub substitutions: Vec<(NodeId, NodeId)>,
     /// Wall-clock launch makespan: stages run sequentially, elements
-    /// within a stage concurrently, each attempt costing the launch
+    /// within a stage concurrently, each attempt costing the 0.5 s launch
     /// latency.
     pub makespan: Seconds,
 }
 
-/// The deployment tool.
-#[derive(Debug, Clone, Copy)]
+/// Time to start one element (fork + ssh + registration).
+pub(crate) const LAUNCH_LATENCY: Seconds = Seconds(0.5);
+
+/// Retries on the same node before substituting a spare.
+const MAX_RETRIES: u32 = 2;
+
+/// The deployment tool. The default injects no failures.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct GoDiet {
-    /// Time to start one element (fork + ssh + registration).
-    pub launch_latency: Seconds,
     /// Probability that a single launch attempt fails.
     pub failure_probability: f64,
-    /// Retries on the same node before substituting a spare.
-    pub max_retries: u32,
     /// Seed for deterministic failure injection.
     pub seed: u64,
-}
-
-impl Default for GoDiet {
-    fn default() -> Self {
-        Self {
-            launch_latency: Seconds(0.5),
-            failure_probability: 0.0,
-            max_retries: 2,
-            seed: 0,
-        }
-    }
 }
 
 impl GoDiet {
@@ -116,7 +107,6 @@ impl GoDiet {
         Self {
             failure_probability: probability,
             seed,
-            ..Self::default()
         }
     }
 
@@ -163,7 +153,7 @@ impl GoDiet {
                 return Ok(StartedElement { node, attempts });
             }
             *failures += 1;
-            if attempts > self.max_retries {
+            if attempts > MAX_RETRIES {
                 // Substitute a spare and start over on it.
                 match spares.pop() {
                     Some(spare) => {
@@ -245,7 +235,7 @@ impl GoDiet {
                 }
                 stage_attempts_max = stage_attempts_max.max(started.attempts);
             }
-            makespan += self.launch_latency.value() * f64::from(stage_attempts_max.max(1));
+            makespan += LAUNCH_LATENCY.value() * f64::from(stage_attempts_max.max(1));
         }
 
         Ok(DeploymentReport {

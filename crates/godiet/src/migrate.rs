@@ -26,7 +26,7 @@
 
 // audit: allow-file(unwrap, "the migration verifier checks every action against the
 // target plan before apply; each expect documents a verified invariant")
-use crate::deploy::{DeployError, GoDiet};
+use crate::deploy::{DeployError, GoDiet, LAUNCH_LATENCY};
 use adept_hierarchy::{DeploymentPlan, NodeChange, PlanDiff, Role, Slot};
 use adept_platform::{NodeId, Platform, Seconds};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -440,7 +440,7 @@ impl GoDiet {
                     }
                 }
             }
-            makespan += self.launch_latency.value() * f64::from(stage_attempts_max);
+            makespan += LAUNCH_LATENCY.value() * f64::from(stage_attempts_max);
         }
 
         // The running plan converges to the target, with substituted

@@ -371,11 +371,6 @@ impl Middleware {
         id
     }
 
-    /// Number of registered clients.
-    pub fn client_count(&self) -> u32 {
-        self.clients
-    }
-
     /// Control-plane utilization of a platform node over `[0, now]`.
     pub fn utilization(&self, node: usize, now: SimTime) -> f64 {
         self.timelines.get(node).utilization(now)

@@ -9,7 +9,9 @@
 //!
 //! * **Non-finite numbers serialize as `null`** — JSON has no `Infinity`,
 //!   and the one place the protocol carries an unbounded value (a demand
-//!   rate) documents `null` as "unbounded".
+//!   rate) documents `null` as "unbounded". The parser therefore refuses
+//!   a literal that overflows `f64` (`1e999`) instead of reading it as
+//!   infinity.
 //! * **Object key order is preserved** (a `Vec` of pairs, not a map), so
 //!   journals are byte-stable across a write/read/write round trip.
 //!
@@ -101,11 +103,6 @@ impl Json {
             Json::Arr(items) => Some(items),
             _ => None,
         }
-    }
-
-    /// True for `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
     }
 
     /// Parses one JSON document, requiring it to span the whole input
@@ -320,9 +317,14 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+    match text.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+        // `f64` parsing rounds an overflowing literal to infinity.
+        Ok(_) => Err(format!(
+            "number {text:?} at byte {start} is outside the finite f64 range"
+        )),
+        Err(_) => Err(format!("invalid number {text:?} at byte {start}")),
+    }
 }
 
 #[cfg(test)]
@@ -394,6 +396,8 @@ mod tests {
             "tru",
             "1.2.3",
             "\"unterminated",
+            "1e999",
+            "-1e999",
             &deep,
             &one_too_deep,
         ] {

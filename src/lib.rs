@@ -42,19 +42,17 @@
 //!    [`WappEstimator`](adept_workload::WappEstimator) /
 //!    [`ScalingForecaster`](adept_workload::ScalingForecaster) track
 //!    execution cost.
-//! 3. **trigger** — [`control`]'s pluggable
+//! 3. **trigger** — [`control`]'s
 //!    [`TriggerPolicy`](adept_control::TriggerPolicy) rules (forecast
-//!    drift, predicted shortfall, periodic) decide *when* to act;
+//!    drift, periodic) decide *when* to act;
 //!    [`Hysteresis`](adept_control::Hysteresis) (sustain + cooldown)
 //!    keeps observation noise from flapping machines.
-//! 4. **replan** — [`core`]'s
-//!    [`Revise`](adept_core::planner::Revise) trait is the unified
-//!    revision entry point: the budgeted
-//!    [`OnlinePlanner`](adept_core::planner::OnlinePlanner) for live
-//!    traffic, the unbounded
-//!    [`Rebalancer`](adept_core::planner::Rebalancer) for maintenance
-//!    windows — all sharing one grow/reassign/convert-grow/shrink loop
-//!    on the incremental evaluation engine.
+//! 4. **replan** — [`core`]'s budgeted
+//!    [`OnlinePlanner`](adept_core::planner::OnlinePlanner), behind the
+//!    [`Revise`](adept_core::planner::Revise) trait the controller
+//!    calls, revises the running plan with one
+//!    grow/reassign/convert-grow/shrink loop on the incremental
+//!    evaluation engine.
 //! 5. **diff** — [`hierarchy`]'s
 //!    [`PlanDiff`](adept_hierarchy::PlanDiff) is an *executable*
 //!    object: `diff(a, b).apply(a)` reconstructs `b` exactly, so the
@@ -167,8 +165,8 @@ pub mod prelude {
     pub use adept_core::model::{IncrementalEval, ModelParams};
     pub use adept_core::planner::{
         BalancedPlanner, HeuristicPlanner, HomogeneousCsdPlanner, MixObjective, MixPlan,
-        MixPlanner, MixReplan, OnlinePlanner, Planner, PlannerError, Rebalancer, Replan, Revise,
-        ReviseError, RoundRobinPlanner, StarPlanner, SweepPlanner, SweepStats, WarmCache,
+        MixPlanner, MixReplan, OnlinePlanner, Planner, PlannerError, Replan, Revise, ReviseError,
+        RoundRobinPlanner, StarPlanner, SweepPlanner, SweepStats, WarmCache,
     };
     pub use adept_godiet::{
         DeployError, DeploymentReport, GoDiet, MigrationAction, MigrationReport, MigrationScript,

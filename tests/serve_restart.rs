@@ -461,6 +461,21 @@ fn wire_errors_are_typed_not_dropped_connections() {
     reader.read_line(&mut line).unwrap();
     assert!(line.contains("\"bad-frame\""), "got: {line}");
 
+    // A number literal past f64's finite range is bad-frame too: parsed
+    // as infinity, it would be journaled as `null` and break the replay.
+    for frame in [
+        "{\"id\":7,\"method\":\"observe\",\"params\":{\"tenant\":\"acme\",\
+         \"rates\":[1e999,0.5,0.4]}}\n",
+        "{\"id\":8,\"method\":\"observe\",\"params\":{\"tenant\":\"acme\",\
+         \"rates\":[1.0,0.5,0.4],\"executions\":[{\"service\":0,\"duration_s\":0.5,\
+         \"power_mflops\":1e999}]}}\n",
+    ] {
+        raw.write_all(frame.as_bytes()).unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"bad-frame\""), "got: {line}");
+    }
+
     // A line with no end is cut off past the frame cap: one bad-frame
     // answer, then the daemon closes that connection.
     let mut endless = std::net::TcpStream::connect(daemon.addr()).unwrap();
