@@ -360,7 +360,7 @@ enum Delta {
 /// of the plan it was built from, for lock-step mutation), caching every
 /// per-stage cycle and the Eq. 15 running sums. See the module docs for
 /// the complexity contract.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct IncrementalEval {
     params: ModelParams,
     /// `(Sreq + Srep)/B` of the service phase, Eq. 15's transfer term
@@ -418,6 +418,21 @@ pub struct IncrementalEval {
     server_count: usize,
 
     undo_stack: Vec<(Delta, Saved)>,
+}
+
+impl std::fmt::Debug for IncrementalEval {
+    /// A summary of the state. The per-slot arrays are left out, and
+    /// with them the `used` set, whose hash order differs from one
+    /// engine to the next, so equal engines print alike.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IncrementalEval")
+            .field("slots", &self.active_count)
+            .field("servers", &self.server_count)
+            .field("services", &self.svc_share.len())
+            .field("site_aware", &self.site.is_some())
+            .field("pending_deltas", &self.undo_stack.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl IncrementalEval {
@@ -1383,40 +1398,6 @@ impl IncrementalEval {
     }
 
     /// What [`rho_service_of`](IncrementalEval::rho_service_of)`(j)`
-    /// would become if one more server of power `power` were assigned to
-    /// service `j` — bit-identical to applying [`add_server_for`](IncrementalEval::add_server_for)
-    /// and reading the rate, without
-    /// mutating. O(1); the analytic half of a planner's attach probe (the
-    /// scheduling half needs one [`assign_child_slot`](IncrementalEval::assign_child_slot)
-    ////undo pair).
-    ///
-    /// Site-aware caveat: this form does not know the newcomer's site, so
-    /// it keeps the service's current worst-transfer bound (exact when
-    /// the newcomer's client link is no slower; an empty partition is
-    /// priced at the cheapest site). [`service_rate_with_extra_at`](IncrementalEval::service_rate_with_extra_at)
-    /// is exact.
-    pub fn service_rate_with_extra(&self, j: usize, power: MflopRate) -> f64 {
-        let num = self.svc_numerator[j] + self.svc_wpre_over_wapp[j];
-        let den = self.svc_denominator[j] + power.value() * self.svc_inv_wapp[j];
-        let transfer = match self.site.as_deref() {
-            None => self.service_transfer,
-            Some(sm) => {
-                let worst = self.worst_transfer_of(j);
-                if worst == f64::NEG_INFINITY {
-                    sm.service_transfer
-                        .iter()
-                        .copied()
-                        .fold(f64::INFINITY, f64::min)
-                } else {
-                    worst
-                }
-            }
-        };
-        throughput::service_rate_from_sums(transfer, num, den)
-    }
-
-    /// Batch form of [`service_rate_with_extra`](IncrementalEval::service_rate_with_extra):
-    /// what [`rho_service_of`](IncrementalEval::rho_service_of)`(j)`
     /// would become if `extra_servers` more servers totalling
     /// `extra_power_sum` MFlop/s were assigned to service `j`, in one
     /// O(1) read — the Eq. 15 running sums are linear in the added set,
@@ -1428,12 +1409,11 @@ impl IncrementalEval {
     /// rate for a non-empty partition (and the sum-formula rate, not the
     /// 0.0 empty-partition convention, for an empty one).
     ///
-    /// Site-aware caveat: as with the single-server form, the newcomer
-    /// sites are unknown, so the service's current worst-transfer bound
-    /// is kept (empty partitions price at the cheapest site) — a lower
-    /// bound on transfer, hence still an optimistic rate bound when the
-    /// platform's client links are uniform or the partition already
-    /// spans the slowest site.
+    /// Site-aware caveat: the newcomers' sites are unknown, so the
+    /// service's current worst-transfer bound is kept (empty partitions
+    /// price at the cheapest site) — a lower bound on transfer, hence
+    /// still an optimistic rate bound when the platform's client links
+    /// are uniform or the partition already spans the slowest site.
     pub fn service_rate_with_added(
         &self,
         j: usize,
@@ -1459,15 +1439,18 @@ impl IncrementalEval {
         throughput::service_rate_from_sums(transfer, num, den)
     }
 
-    /// [`service_rate_with_extra`](IncrementalEval::service_rate_with_extra)
-    /// with the newcomer's site: bit-identical to applying
+    /// What [`rho_service_of`](IncrementalEval::rho_service_of)`(j)`
+    /// would become if one more server of power `power` living on `site`
+    /// were assigned to service `j`: bit-identical to applying
     /// [`add_server_for`](IncrementalEval::add_server_for) for a node on
     /// `site` and reading the rate, in site-aware mode included (the
-    /// worst-transfer bound absorbs the newcomer's client link). O(#sites);
-    /// O(1) uniform.
+    /// worst-transfer bound absorbs the newcomer's client link), without
+    /// mutating. O(#sites); O(1) uniform. The analytic half of an attach
+    /// probe; the scheduling half is one
+    /// [`assign_child_slot`](IncrementalEval::assign_child_slot)/undo pair.
     pub fn service_rate_with_extra_at(&self, j: usize, power: MflopRate, site: SiteId) -> f64 {
         let Some(sm) = self.site.as_deref() else {
-            return self.service_rate_with_extra(j, power);
+            return self.service_rate_with_added(j, 1, power.value());
         };
         let num = self.svc_numerator[j] + self.svc_wpre_over_wapp[j];
         let den = self.svc_denominator[j] + power.value() * self.svc_inv_wapp[j];
@@ -1831,6 +1814,32 @@ mod tests {
     }
 
     #[test]
+    fn debug_output_is_the_same_for_equal_engines() {
+        // Each engine's node set hashes with its own random keys; the
+        // printed form must not follow that order.
+        let platform = lyon_cluster(12);
+        let svc = Dgemm::new(310).service();
+        let params = ModelParams::from_platform(&platform);
+        let mut plan = DeploymentPlan::with_root(NodeId(0));
+        let agents: Vec<Slot> = (1..4)
+            .map(|i| plan.add_agent(plan.root(), NodeId(i)).unwrap())
+            .collect();
+        for i in 4..12u32 {
+            plan.add_server(agents[i as usize % 3], NodeId(i)).unwrap();
+        }
+        let printed = || {
+            format!(
+                "{:?}",
+                IncrementalEval::from_plan(&params, &platform, &plan, &svc)
+            )
+        };
+        let first = printed();
+        for _ in 0..8 {
+            assert_eq!(printed(), first);
+        }
+    }
+
+    #[test]
     fn remove_server_matches_rebuilt_plan() {
         let platform = lyon_cluster(8);
         let svc = Dgemm::new(310).service();
@@ -2035,7 +2044,7 @@ mod tests {
         // service's rate while the report stays in full parity.
         for (i, j) in [(4u32, 2usize), (5, 2), (6, 0), (7, 1), (8, 2)] {
             let before: Vec<f64> = (0..3).map(|k| eval.rho_service_of(k)).collect();
-            let predicted = eval.service_rate_with_extra(j, platform.power(NodeId(i)));
+            let predicted = eval.service_rate_with_added(j, 1, platform.power(NodeId(i)).value());
             plan.add_server(plan.root(), NodeId(i)).unwrap();
             assignment.service_of.insert(NodeId(i), j);
             eval.add_server_for(Slot(0), NodeId(i), platform.power(NodeId(i)), j)
@@ -2440,13 +2449,15 @@ mod tests {
                 .unwrap();
             eval.commit();
             assert_eq!(eval.is_site_aware(), label == "site-aware");
-            // One-server batch probe == the single-server probe, bitwise
+            // One-server batch probe == the exact single-server probe for
+            // a newcomer on a site the partition already spans, bitwise
             // (same formula, same transfer bound), in both modes.
-            for j in 0..2 {
+            for (j, host) in [(0, nodes[1]), (1, nodes[2])] {
                 let p = platform.power(nodes[3]);
                 assert_eq!(
                     eval.service_rate_with_added(j, 1, p.value()).to_bits(),
-                    eval.service_rate_with_extra(j, p).to_bits(),
+                    eval.service_rate_with_extra_at(j, p, platform.site_of(host))
+                        .to_bits(),
                     "{label}: single-server batch probe must match"
                 );
             }

@@ -117,16 +117,7 @@ pub fn partition_servers(
             available: servers.len(),
         });
     }
-    servers.sort_by(|&a, &b| {
-        platform
-            .power(b)
-            .value()
-            .partial_cmp(&platform.power(a).value())
-            // audit: allow(unwrap, "model invariant: validated platforms and
-            // mixes keep rates, powers, and shares finite and positive")
-            .expect("powers are finite")
-            .then(a.cmp(&b))
-    });
+    platform.sort_by_power_desc(&mut servers);
 
     // Per-service Eq. 10 running sums: the share-normalized capacity of
     // every candidate service is read in O(1) per step instead of

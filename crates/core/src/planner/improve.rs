@@ -24,32 +24,13 @@
 //!
 //! The pass never returns a worse plan than its input.
 
-use super::realize::{realize, realize_balanced, HeapEntry};
-use crate::model::throughput::sch_pow;
+use super::realize::{realize, realize_balanced, Waterfill};
+use super::EPS;
 use crate::model::{IncrementalEval, ModelParams};
 use adept_hierarchy::{DeploymentPlan, Slot};
 use adept_platform::{NodeId, Platform};
 use adept_workload::{ClientDemand, ServiceSpec};
-use std::collections::{BinaryHeap, HashSet};
-
-/// Relative tolerance for strict-improvement acceptance.
-const EPS: f64 = 1e-9;
-
-/// Sorts node ids by descending power, ties to the lower id — the one
-/// ordering every strongest-first scan in the planners uses. Runs on
-/// precomputed integer keys (positive finite powers order like their
-/// IEEE-754 bit patterns) so site-sized lists sort without a `power()`
-/// call per comparison.
-pub(crate) fn by_power_desc(platform: &Platform, ids: &mut [NodeId]) {
-    let mut keyed: Vec<(u64, NodeId)> = ids
-        .iter()
-        .map(|&id| (platform.power(id).value().to_bits(), id))
-        .collect();
-    keyed.sort_unstable_by_key(|&(bits, id)| (std::cmp::Reverse(bits), id));
-    for (slot, (_, id)) in ids.iter_mut().zip(keyed) {
-        *slot = id;
-    }
-}
+use std::collections::HashSet;
 
 /// Best plan for a fixed agent set, scanning the server count over `pool`
 /// (strongest first). Returns the best `(plan, rho)` if any configuration
@@ -122,41 +103,12 @@ fn best_for_agent_set_incremental(
         return None;
     }
     let mut eval = IncrementalEval::from_agents(params, platform, agents, service);
-    let mut heap: BinaryHeap<HeapEntry> = (0..k)
-        .map(|i| HeapEntry {
-            sp_after: sch_pow(params, platform.power(agents[i]), 1),
-            agent: i,
-        })
-        .collect();
-    let mut zero_agents = k;
-    // Which agent received each child slot, in assignment order: counting
-    // a prefix of this reconstructs the degree distribution at any `s`.
-    let mut assignments: Vec<usize> = Vec::with_capacity(k - 1 + pool.len());
-
-    // Waterfill step: hand the next child slot to the agent with the
-    // highest post-assignment scheduling power.
-    let pop_next = |heap: &mut BinaryHeap<HeapEntry>,
-                    eval: &IncrementalEval,
-                    zero_agents: &mut usize,
-                    assignments: &mut Vec<usize>| {
-        // audit: allow(unwrap, "improver invariant documented in the expect
-        // message; the improvement parity tests exercise this path")
-        let top = heap.pop().expect("k >= 1 agents in the heap");
-        let i = top.agent;
-        if eval.degree(Slot(i)) == 0 {
-            *zero_agents -= 1;
-        }
-        assignments.push(i);
-        heap.push(HeapEntry {
-            sp_after: sch_pow(params, platform.power(agents[i]), eval.degree(Slot(i)) + 2),
-            agent: i,
-        });
-        i
-    };
+    let powers: Vec<f64> = agents.iter().map(|&a| platform.power(a).value()).collect();
+    let mut waterfill = Waterfill::new(params, &powers);
 
     // The k-1 non-root agents each consume one (abstract) child slot.
     for _ in 0..k - 1 {
-        let i = pop_next(&mut heap, &eval, &mut zero_agents, &mut assignments);
+        let (i, _) = waterfill.step();
         eval.assign_child_slot(Slot(i))
             // audit: allow(unwrap, "improver invariant documented in the
             // expect message; the improvement parity tests exercise this
@@ -167,14 +119,14 @@ fn best_for_agent_set_incremental(
     let mut best: Option<(usize, f64)> = None;
     let mut peak = f64::NEG_INFINITY;
     for s in 1..=pool.len() {
-        let i = pop_next(&mut heap, &eval, &mut zero_agents, &mut assignments);
+        let (i, _) = waterfill.step();
         let node = pool[s - 1];
         eval.add_server(Slot(i), node, platform.power(node))
             // audit: allow(unwrap, "improver invariant documented in the
             // expect message; the improvement parity tests exercise this
             // path")
             .expect("pool nodes are unused");
-        if zero_agents > 0 {
+        if waterfill.childless() > 0 {
             continue; // an agent is still childless: dominated by smaller k
         }
         let rho = eval.rho();
@@ -189,10 +141,7 @@ fn best_for_agent_set_incremental(
     }
 
     let (s_best, rho) = best?;
-    let mut degrees = vec![0usize; k];
-    for &i in &assignments[..k - 1 + s_best] {
-        degrees[i] += 1;
-    }
+    let degrees = Waterfill::degrees_after(params, &powers, k - 1 + s_best);
     Some((realize(agents, &pool[..s_best], &degrees), rho))
 }
 
@@ -231,7 +180,7 @@ fn rebalance_by(
             break;
         }
         let mut agents: Vec<NodeId> = best_plan.agents().map(|s| best_plan.node(s)).collect();
-        by_power_desc(platform, &mut agents);
+        platform.sort_by_power_desc(&mut agents);
         let agent_set: HashSet<NodeId> = agents.iter().copied().collect();
         let mut pool: Vec<NodeId> = platform
             .nodes()
@@ -239,7 +188,7 @@ fn rebalance_by(
             .map(|r| r.id)
             .filter(|id| !agent_set.contains(id))
             .collect();
-        by_power_desc(platform, &mut pool);
+        platform.sort_by_power_desc(&mut pool);
 
         let mut candidate: Option<(DeploymentPlan, f64)> = None;
         let mut consider = |cand: Option<(DeploymentPlan, f64)>| {
@@ -260,7 +209,7 @@ fn rebalance_by(
         if pool.len() >= 2 {
             let mut a2 = agents.clone();
             a2.push(pool[0]);
-            by_power_desc(platform, &mut a2);
+            platform.sort_by_power_desc(&mut a2);
             consider(scan(&a2, &pool[1..]));
         }
 
@@ -269,7 +218,7 @@ fn rebalance_by(
             let a2: Vec<NodeId> = agents[..agents.len() - 1].to_vec();
             let mut p2 = pool.clone();
             p2.push(agents[agents.len() - 1]);
-            by_power_desc(platform, &mut p2);
+            platform.sort_by_power_desc(&mut p2);
             consider(scan(&a2, &p2));
         }
 

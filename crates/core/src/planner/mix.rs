@@ -17,7 +17,7 @@
 //! The per-step service choice is **analytic**: the scheduling effect of
 //! one more child is probed with a single `assign_child_slot`/undo pair
 //! (O(log n), service-independent) and each candidate service's new rate
-//! comes from [`service_rate_with_extra`](crate::model::IncrementalEval::service_rate_with_extra)
+//! comes from [`service_rate_with_extra_at`](crate::model::IncrementalEval::service_rate_with_extra_at)
 //! in O(1) —
 //! bit-identical to applying the delta — so planning an S-service mix
 //! costs about one single-service heuristic run plus O(S²) scalar work
@@ -47,17 +47,13 @@
 // mix parity tests exercise the build")
 use super::heuristic::HeuristicPlanner;
 use super::realize::{promote_and_steal, realize_from_eval, AttachHeap};
-use super::{resolve_params, PlannerError};
+use super::{resolve_params, PlannerError, EPS};
 use crate::model::mix::{MixReport, ServerAssignment};
 use crate::model::{IncrementalEval, ModelParams};
 use adept_hierarchy::{DeploymentPlan, Slot};
 use adept_platform::{MflopRate, NodeId, Platform, SiteId};
 use adept_workload::{MixDemand, ServiceMix};
 use std::collections::VecDeque;
-
-/// Relative tolerance for "strictly better" comparisons; keeps the greedy
-/// from oscillating on floating-point noise.
-const EPS: f64 = 1e-9;
 
 /// What a [`MixPlanner`] maximizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -430,7 +426,7 @@ fn sched_after_attach(
 /// The analytic min-objective attach probe under arbitrary per-service
 /// divisors (see [`normalized_min`]): one scheduling probe shared by
 /// every candidate service, then O(1) per candidate via
-/// [`service_rate_with_extra`](IncrementalEval::service_rate_with_extra).
+/// [`service_rate_with_extra_at`](IncrementalEval::service_rate_with_extra_at).
 /// Scores are bit-identical to applying the candidate delta and reading
 /// `normalized_min`. Selection maximizes the score; score ties (within
 /// [`EPS`] relative) resolve to the most starved candidate, then the

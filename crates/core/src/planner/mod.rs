@@ -118,6 +118,11 @@ pub trait Planner {
     ) -> Result<DeploymentPlan, PlannerError>;
 }
 
+/// Relative tolerance of the planners' strict-improvement tests: a move
+/// is taken only when it beats the incumbent by more than this share,
+/// which keeps a greedy from cycling on floating-point noise.
+pub(crate) const EPS: f64 = 1e-9;
+
 /// Resolves the model parameters a planner should use: an explicit override
 /// or the platform's own network description with the default calibration.
 pub(crate) fn resolve_params(overridden: Option<ModelParams>, platform: &Platform) -> ModelParams {

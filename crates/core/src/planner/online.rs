@@ -7,7 +7,9 @@
 //! module revises a running plan under a budget of changed nodes:
 //!
 //! * **grow** — attach an unused platform node as a server under the
-//!   least-loaded agent (1 change);
+//!   agent that keeps the highest scheduling power with one more child
+//!   (1 change): Algorithm 1's attach rule, read from the same lazily
+//!   re-keyed heap the offline growth loop keeps;
 //! * **reassign** — reinstall a server of a slack service for a starved
 //!   one (1 change, tree untouched; multi-service deployments only);
 //! * **shrink** — retire the weakest server (1 change; frees a machine
@@ -37,15 +39,14 @@ use super::mix::{
     accept_growth, best_attach_normalized, demand_met, normalized_min, normalized_service_min,
     AttachChoice, MixObjective,
 };
-use super::realize::best_attach_agent_site_aware;
+use super::realize::AttachHeap;
 use super::revise::{drive, ReviseOps};
+use super::EPS;
 use crate::model::mix::{MixReport, ServerAssignment};
-use crate::model::throughput::sch_pow;
 use crate::model::{IncrementalEval, ModelParams};
 use adept_hierarchy::{DeploymentPlan, PlanDiff, PlanError, Role, Slot};
 use adept_platform::{NodeId, Platform, SiteId};
 use adept_workload::{ClientDemand, MixDemand, ServiceMix, ServiceSpec};
-use std::collections::HashSet;
 
 /// Growth candidates for one replan step: on a uniform network, the
 /// strongest unused node; on a multi-site platform, the strongest unused
@@ -66,33 +67,6 @@ fn grow_candidates(platform: &Platform, unused: &[NodeId], site_aware: bool) -> 
         }
     }
     picks
-}
-
-/// Relative tolerance for strict-improvement acceptance.
-const EPS: f64 = 1e-9;
-
-/// The agent of the engine that keeps the highest scheduling power after
-/// receiving one more child living on `child_site`; ties break toward the
-/// lower slot. On a site-aware evaluator this is
-/// [`best_attach_agent_site_aware`]'s joint (power, link) ranking
-/// instead of power alone.
-fn best_attach_agent_in_eval_for(
-    params: &ModelParams,
-    eval: &IncrementalEval,
-    child_site: SiteId,
-) -> Slot {
-    if eval.is_site_aware() {
-        return best_attach_agent_site_aware(eval, child_site);
-    }
-    eval.agents()
-        .max_by(|&a, &b| {
-            let pa = sch_pow(params, eval.power(a), eval.degree(a) + 1);
-            let pb = sch_pow(params, eval.power(b), eval.degree(b) + 1);
-            pa.partial_cmp(&pb)
-                .expect("rates are finite")
-                .then(b.cmp(&a))
-        })
-        .expect("plans always contain the root agent")
 }
 
 /// Engine state preserved across revision rounds: the incremental
@@ -277,12 +251,20 @@ fn without_server(plan: &DeploymentPlan, victim: Slot) -> DeploymentPlan {
 
 /// Unused platform nodes, most powerful first.
 fn unused_by_power(platform: &Platform, plan: &DeploymentPlan) -> Vec<NodeId> {
-    let used: HashSet<NodeId> = plan.slots().map(|s| plan.node(s)).collect();
     platform
         .ids_by_power_desc()
         .into_iter()
-        .filter(|id| !used.contains(id))
+        .filter(|&id| !plan.uses_node(id))
         .collect()
+}
+
+/// The engine's servers, weakest first with ties to the lower slot: the
+/// order in which `reassign` tries donors and `shrink` tries victims.
+fn servers_weakest_first(eval: &IncrementalEval) -> Vec<Slot> {
+    let mut servers: Vec<Slot> = eval.servers().collect();
+    // Positive finite powers order like their IEEE-754 bit patterns.
+    servers.sort_unstable_by_key(|&s| (eval.power(s).value().to_bits(), s));
+    servers
 }
 
 /// Working state of one revision round on the batched evaluator: shared
@@ -298,6 +280,8 @@ struct MixOps<'a> {
     plan: DeploymentPlan,
     assignment: ServerAssignment,
     eval: IncrementalEval,
+    /// Attach targets of `eval`'s agents, kept current across commits.
+    heap: AttachHeap,
     reassigned: Vec<(NodeId, usize, usize)>,
     unused: Vec<NodeId>,
     /// Per-service margin divisors (zero = that component never binds).
@@ -346,11 +330,9 @@ impl ReviseOps for MixOps<'_> {
         let svc_min = normalized_service_min(&self.eval, &self.divisors);
         let mut best: Option<(AttachChoice, NodeId, Slot)> = None;
         for &fresh in &grow {
-            let agent = best_attach_agent_in_eval_for(
-                &self.params,
-                &self.eval,
-                self.platform.site_of(fresh),
-            );
+            let agent = self
+                .heap
+                .best_for(&self.params, &self.eval, self.platform.site_of(fresh));
             let choice = self.probe_attach(agent, fresh);
             if accept_growth(MixObjective::WeightedMin, &choice, self.current, svc_min)
                 && best
@@ -369,6 +351,7 @@ impl ReviseOps for MixOps<'_> {
             .expect("unused node under an agent inserts");
         self.assignment.service_of.insert(fresh, choice.service);
         self.eval.commit();
+        self.heap.update(&self.params, &self.eval, agent);
         self.current = choice.score;
         self.unused.retain(|&n| n != fresh);
         self.commits += 1;
@@ -380,13 +363,7 @@ impl ReviseOps for MixOps<'_> {
         // 1 change, no tree edit. The donor is scanned weakest-first
         // (minimize the donor's loss); the first reassignment improving
         // the margin commits.
-        let mut donors: Vec<Slot> = self.eval.servers().collect();
-        donors.sort_by(|&a, &b| {
-            let pa = self.eval.power(a).value();
-            let pb = self.eval.power(b).value();
-            pa.partial_cmp(&pb).expect("finite").then(a.cmp(&b))
-        });
-        for victim in donors {
+        for victim in servers_weakest_first(&self.eval) {
             for &j in &self.services {
                 if self.eval.service_of(victim) == j {
                     continue;
@@ -466,6 +443,7 @@ impl ReviseOps for MixOps<'_> {
         self.assignment.service_of.remove(&victim_node);
         self.assignment.service_of.insert(fresh, choice.service);
         self.eval.commit();
+        self.heap.rebuild(&self.params, &self.eval);
         self.current = choice.score;
         self.unused.retain(|&n| n != fresh);
         self.commits += 1;
@@ -479,13 +457,7 @@ impl ReviseOps for MixOps<'_> {
         if self.eval.server_count() < 2 {
             return None;
         }
-        let mut victims: Vec<Slot> = self.eval.servers().collect();
-        victims.sort_by(|&a, &b| {
-            let pa = self.eval.power(a).value();
-            let pb = self.eval.power(b).value();
-            pa.partial_cmp(&pb).expect("finite").then(a.cmp(&b))
-        });
-        for victim in victims {
+        for victim in servers_weakest_first(&self.eval) {
             self.eval.remove_server(victim).expect("victim is a server");
             if demand_met(&self.eval, self.demand) {
                 let node = self.plan.node(victim);
@@ -502,6 +474,7 @@ impl ReviseOps for MixOps<'_> {
                     &self.assignment,
                 )
                 .expect("the maintained assignment covers the compacted plan");
+                self.heap.rebuild(&self.params, &self.eval);
                 self.current = self.margin();
                 self.commits += 1;
                 return Some(1);
@@ -639,6 +612,7 @@ impl OnlinePlanner {
         // Services worth growing: ones whose margin component can move.
         let services: Vec<usize> = (0..mix.len()).filter(|&j| divisors[j] > 0.0).collect();
         let current = normalized_min(&eval, &divisors, sched_divisor);
+        let heap = AttachHeap::new(&params, &eval);
         let mut ops = MixOps {
             params,
             platform,
@@ -647,6 +621,7 @@ impl OnlinePlanner {
             plan: running.clone(),
             assignment: assignment.clone(),
             eval,
+            heap,
             reassigned: Vec::new(),
             unused,
             divisors,

@@ -8,11 +8,13 @@
 //! and the best distribution is the one maximizing the minimum per-agent
 //! scheduling power.
 //!
-//! [`waterfill_degrees`] computes that distribution greedily: child slots
-//! are handed out one at a time, always to the agent whose scheduling power
+//! [`Waterfill`] computes that distribution greedily: child slots are
+//! handed out one at a time, always to the agent whose scheduling power
 //! *after* the assignment is highest. Because an agent's cycle time is
 //! strictly increasing in its degree, this greedy is exchange-optimal for
-//! the max-min objective.
+//! the max-min objective. It is the one waterfill of the planners: the
+//! sweeps' scans and winner replays, the mix sweep's child schedule, the
+//! rebalance scan and [`waterfill_degrees`] all step it.
 //!
 //! [`realize`] then builds a concrete tree: agents are attached
 //! breadth-first under earlier agents, servers fill the remaining slots.
@@ -24,7 +26,7 @@
 use crate::model::throughput::sch_pow;
 use crate::model::{IncrementalEval, ModelParams};
 use adept_hierarchy::{DeploymentPlan, Role, Slot};
-use adept_platform::{NodeId, Platform, SiteId};
+use adept_platform::{MflopRate, NodeId, Platform, SiteId};
 use std::cmp::Ordering;
 
 /// Max-heap key for incremental waterfills: the scheduling power an agent
@@ -55,10 +57,80 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// The child-slot waterfill, one slot at a time: each
+/// [`step`](Waterfill::step) hands the next child slot to the agent whose
+/// scheduling power after it is highest, ties to the lower index
+/// ([`HeapEntry`]'s rule). Agent `i` has power `powers[i]` and starts at
+/// degree zero. O(log k) per step.
+pub(crate) struct Waterfill<'a> {
+    params: &'a ModelParams,
+    powers: &'a [f64],
+    degrees: Vec<usize>,
+    heap: std::collections::BinaryHeap<HeapEntry>,
+    childless: usize,
+}
+
+impl<'a> Waterfill<'a> {
+    pub(crate) fn new(params: &'a ModelParams, powers: &'a [f64]) -> Self {
+        let heap = powers
+            .iter()
+            .enumerate()
+            .map(|(agent, &w)| HeapEntry {
+                sp_after: sch_pow(params, MflopRate(w), 1),
+                agent,
+            })
+            .collect();
+        Self {
+            params,
+            powers,
+            degrees: vec![0; powers.len()],
+            heap,
+            childless: powers.len(),
+        }
+    }
+
+    /// Hands out the next child slot. Returns the agent that receives
+    /// it and that agent's scheduling power at its new degree.
+    ///
+    /// # Panics
+    /// Panics when there are no agents.
+    pub(crate) fn step(&mut self) -> (usize, f64) {
+        let top = self.heap.pop().expect("a waterfill has at least one agent");
+        let i = top.agent;
+        if self.degrees[i] == 0 {
+            self.childless -= 1;
+        }
+        self.degrees[i] += 1;
+        self.heap.push(HeapEntry {
+            sp_after: sch_pow(self.params, MflopRate(self.powers[i]), self.degrees[i] + 1),
+            agent: i,
+        });
+        (i, top.sp_after)
+    }
+
+    /// Agents still at degree zero.
+    pub(crate) fn childless(&self) -> usize {
+        self.childless
+    }
+
+    /// Every agent's degree after `total` steps.
+    ///
+    /// # Panics
+    /// Panics when `powers` is empty and `total > 0`.
+    pub(crate) fn degrees_after(params: &ModelParams, powers: &[f64], total: usize) -> Vec<usize> {
+        let mut waterfill = Waterfill::new(params, powers);
+        for _ in 0..total {
+            waterfill.step();
+        }
+        waterfill.degrees
+    }
+}
+
 /// Lazy max-heap over an [`IncrementalEval`]'s agents keyed by
 /// post-attachment scheduling power — replaces an O(k) scan with
 /// O(log k) amortized selection inside the greedy growth loop
-/// (`MixPlanner::grow`, which the heuristic runs too). Entries go stale
+/// (`MixPlanner::grow`, which the heuristic runs too) and the online
+/// reviser's grow moves ([`online`](super::online)). Entries go stale
 /// when an agent's degree changes; [`AttachHeap::best`] discards and
 /// re-keys stale tops lazily, so selection (max `sp_after`, ties to the
 /// lower slot) is identical to the scan's.
@@ -144,16 +216,15 @@ impl AttachHeap {
     }
 }
 
-/// The one site-aware attach ranking, shared by [`AttachHeap::best_for`]
-/// and the private `best_attach_agent_in_eval_for` of the online
-/// replanner ([`online`](super::online)): the agent minimizing its full
-/// post-attach cycle for a child living on `child_site` — parent link +
-/// child-link running sum + the real agent↔child link + Eq. 5 — so
+/// The site-aware attach ranking behind [`AttachHeap::best_for`]: the
+/// agent minimizing its full post-attach cycle for a child living on
+/// `child_site` — parent link + child-link running sum + the real
+/// agent↔child link + Eq. 5 — so
 /// (power, link) are judged **jointly**; a strong agent behind a slow
 /// WAN loses to a weaker local one once the link dominates. O(k) over
 /// the current agents; ties resolve to the lower slot, matching the
 /// uniform heap rule.
-pub(crate) fn best_attach_agent_site_aware(eval: &IncrementalEval, child_site: SiteId) -> Slot {
+fn best_attach_agent_site_aware(eval: &IncrementalEval, child_site: SiteId) -> Slot {
     debug_assert!(eval.is_site_aware(), "uniform evaluators use the heap");
     eval.agents()
         .min_by(|&a, &b| {
@@ -393,40 +464,12 @@ fn realize_topology(eval: &IncrementalEval) -> DeploymentPlan {
         .expect("the engine's topology is a rooted tree over unique nodes")
 }
 
-/// Heap entry for [`waterfill_degrees`]: same key as [`HeapEntry`] but
-/// ties resolve to the **higher** agent index, preserving the historical
-/// `max_by` (last-maximum) behaviour of the original O(children·k) scan
-/// this heap replaced.
-#[derive(Debug, PartialEq)]
-struct LastTieEntry {
-    sp_after: f64,
-    agent: usize,
-}
-
-impl Eq for LastTieEntry {}
-
-impl Ord for LastTieEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.sp_after
-            .partial_cmp(&other.sp_after)
-            .expect("scheduling powers are finite")
-            .then_with(|| self.agent.cmp(&other.agent))
-    }
-}
-
-impl PartialOrd for LastTieEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Balanced degree distribution for `agents` (any order) receiving
-/// `total_children` child slots. Returns one degree per agent.
-///
-/// Each child slot goes to the agent with the highest scheduling power
-/// *after* the assignment, maintained in a max-heap — O(children·log k)
-/// where the previous full-scan implementation was O(children·k), which
-/// dominated every `shift_nodes` conversion of the heuristic.
+/// `total_children` child slots: the [`Waterfill`] with ties to the
+/// **later** agent, the rule that decides the tree of every multi-site
+/// rebalance. It steps the waterfill over the reversed list and
+/// reverses the degrees back, which is exact: each agent's key depends
+/// only on its own power and degree. Returns one degree per agent.
 ///
 /// # Panics
 /// Panics if `agents` is empty and `total_children > 0`.
@@ -440,24 +483,13 @@ pub(crate) fn waterfill_degrees(
         !agents.is_empty() || total_children == 0,
         "cannot distribute children without agents"
     );
-    let mut degrees = vec![0usize; agents.len()];
-    let mut heap: std::collections::BinaryHeap<LastTieEntry> = agents
+    let reversed: Vec<f64> = agents
         .iter()
-        .enumerate()
-        .map(|(i, &a)| LastTieEntry {
-            sp_after: sch_pow(params, platform.power(a), 1),
-            agent: i,
-        })
+        .rev()
+        .map(|&a| platform.power(a).value())
         .collect();
-    for _ in 0..total_children {
-        let top = heap.pop().expect("one entry per agent");
-        let i = top.agent;
-        degrees[i] += 1;
-        heap.push(LastTieEntry {
-            sp_after: sch_pow(params, platform.power(agents[i]), degrees[i] + 1),
-            agent: i,
-        });
-    }
+    let mut degrees = Waterfill::degrees_after(params, &reversed, total_children);
+    degrees.reverse();
     degrees
 }
 
@@ -583,6 +615,79 @@ mod tests {
         let params = crate::model::ModelParams::from_platform(&platform);
         let degrees = waterfill_degrees(&params, &platform, &ids(4), 20);
         assert_eq!(degrees.iter().sum::<usize>(), 20);
+    }
+
+    /// One step of the O(k)-per-step scan the waterfill heap replaced:
+    /// the agent with the highest `sch_pow` at one more child, ties to
+    /// the later agent when `last`, else to the earlier one.
+    fn scan_step(
+        params: &ModelParams,
+        powers: &[f64],
+        degrees: &[usize],
+        last: bool,
+    ) -> (usize, f64) {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, &w) in powers.iter().enumerate() {
+            let sp = sch_pow(params, MflopRate(w), degrees[i] + 1);
+            if best.is_none_or(|(_, b)| if last { sp >= b } else { sp > b }) {
+                best = Some((i, sp));
+            }
+        }
+        best.unwrap()
+    }
+
+    #[test]
+    fn waterfill_matches_the_scan_it_replaces_ties_included() {
+        use adept_platform::generator::{homogeneous_cluster, multi_site_grid};
+        use adept_platform::MbitRate;
+        const TOTALS: usize = 40;
+        let platforms = [
+            // Every key ties.
+            homogeneous_cluster("h", 12, MflopRate(400.0)),
+            // Four power levels: many exact ties.
+            multi_site_grid(3, 8, MflopRate(400.0), MbitRate(100.0), MbitRate(5.0), 7),
+            uniform_random_cluster("u", 24, MflopRate(50.0), MflopRate(500.0), 11),
+        ];
+        for platform in &platforms {
+            let params = crate::model::ModelParams::from_platform(platform);
+            let all: Vec<NodeId> = platform.nodes().iter().map(|r| r.id).collect();
+            for k in 1..=8 {
+                for agents in [&all[..k], &all[all.len() - k..]] {
+                    let powers: Vec<f64> =
+                        agents.iter().map(|&a| platform.power(a).value()).collect();
+                    let mut waterfill = Waterfill::new(&params, &powers);
+                    let mut first = vec![0usize; k];
+                    let mut last = vec![0usize; k];
+                    for total in 0..TOTALS {
+                        let at = format!(
+                            "{} k={k} agents={agents:?} total={total}",
+                            platform.nodes()[0].name
+                        );
+                        assert_eq!(
+                            Waterfill::degrees_after(&params, &powers, total),
+                            first,
+                            "{at}"
+                        );
+                        assert_eq!(
+                            waterfill_degrees(&params, platform, agents, total),
+                            last,
+                            "{at}"
+                        );
+                        let (agent, sp) = waterfill.step();
+                        let (want, want_sp) = scan_step(&params, &powers, &first, false);
+                        assert_eq!((agent, sp.to_bits()), (want, want_sp.to_bits()), "{at}");
+                        first[want] += 1;
+                        assert_eq!(
+                            waterfill.childless(),
+                            first.iter().filter(|&&d| d == 0).count(),
+                            "{at}"
+                        );
+                        let (later, _) = scan_step(&params, &powers, &last, true);
+                        last[later] += 1;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

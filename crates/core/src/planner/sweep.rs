@@ -76,14 +76,13 @@
 
 // audit: allow-file(unwrap, "sweep engine invariants documented in each expect; the
 // Table 4 parity tests cover the walk")
-use super::realize::HeapEntry;
+use super::realize::Waterfill;
 use super::{resolve_params, Planner, PlannerError};
 use crate::model::throughput::{sch_pow, service_rate_from_sums};
 use crate::model::{batch, comm, IncrementalEval, ModelParams};
 use adept_hierarchy::{DeploymentPlan, Slot};
 use adept_platform::{NodeId, Platform};
 use adept_workload::{ClientDemand, ServiceMix, ServiceSpec};
-use std::collections::BinaryHeap;
 
 /// Strict-improvement resolution of the sweep: ties within this margin
 /// keep the earlier (fewer-agents, fewer-nodes) configuration.
@@ -301,53 +300,15 @@ struct ScanCtx<'a> {
     transfer: f64,
 }
 
-/// One waterfill step: hand the next child slot to the agent whose
-/// scheduling power after the assignment is highest; returns nothing but
-/// updates the degree, min-scheduling-power, and zero-agent bookkeeping.
-fn assign_one(
-    ctx: &ScanCtx<'_>,
-    degrees: &mut [usize],
-    heap: &mut BinaryHeap<HeapEntry>,
-    min_sp: &mut f64,
-    zero_agents: &mut usize,
-) {
-    let top = heap.pop().expect("k >= 1 agents in the heap");
-    let i = top.agent;
-    if degrees[i] == 0 {
-        *zero_agents -= 1;
-    }
-    degrees[i] += 1;
-    *min_sp = min_sp.min(top.sp_after);
-    heap.push(HeapEntry {
-        sp_after: sch_pow(
-            ctx.params,
-            adept_platform::MflopRate(ctx.powers[i]),
-            degrees[i] + 1,
-        ),
-        agent: i,
-    });
-}
-
-fn initial_heap(ctx: &ScanCtx<'_>, k: usize) -> BinaryHeap<HeapEntry> {
-    (0..k)
-        .map(|i| HeapEntry {
-            sp_after: sch_pow(ctx.params, adept_platform::MflopRate(ctx.powers[i]), 1),
-            agent: i,
-        })
-        .collect()
-}
-
 /// Scans all server counts for a fixed agent count `k`, returning the
 /// locally best `(servers, rho)` under the sweep's strict-improvement
 /// rule. Fully independent of every other `k`.
 fn scan_k(ctx: &ScanCtx<'_>, n: usize, k: usize) -> Option<KBest> {
-    let mut degrees = vec![0usize; k];
-    let mut zero_agents = k;
+    let mut waterfill = Waterfill::new(ctx.params, &ctx.powers[..k]);
     let mut min_sp = f64::INFINITY;
-    let mut heap = initial_heap(ctx, k);
     // The k-1 non-root agents each consume one child slot.
     for _ in 0..k - 1 {
-        assign_one(ctx, &mut degrees, &mut heap, &mut min_sp, &mut zero_agents);
+        min_sp = min_sp.min(waterfill.step().1);
     }
     // Service-power running sums (Eq. 10/15); the prediction bound of
     // Eq. 14 is the weakest server's precomputed rate — servers are
@@ -357,13 +318,13 @@ fn scan_k(ctx: &ScanCtx<'_>, n: usize, k: usize) -> Option<KBest> {
     let mut best: Option<KBest> = None;
     let mut best_for_k = f64::NEG_INFINITY;
     for s in 1..=(n - k) {
-        assign_one(ctx, &mut degrees, &mut heap, &mut min_sp, &mut zero_agents);
+        min_sp = min_sp.min(waterfill.step().1);
         let w = ctx.powers[k + s - 1];
         numerator += ctx.wpre / ctx.wapp;
         denominator += w / ctx.wapp;
         let min_pred = ctx.pred_rates[k + s - 1];
         let service_pow = service_rate_from_sums(ctx.transfer, numerator, denominator);
-        if zero_agents > 0 {
+        if waterfill.childless() > 0 {
             continue; // dominated by a smaller k; keep growing s
         }
         let rho = min_sp.min(min_pred).min(service_pow);
@@ -386,19 +347,6 @@ fn scan_k(ctx: &ScanCtx<'_>, n: usize, k: usize) -> Option<KBest> {
         best_for_k = best_for_k.max(rho);
     }
     best
-}
-
-/// Replays the waterfill for the winning `(k, total_children)` to recover
-/// its degree distribution — run once, after the scan has chosen.
-fn waterfill_degrees_for(ctx: &ScanCtx<'_>, k: usize, total_children: usize) -> Vec<usize> {
-    let mut degrees = vec![0usize; k];
-    let mut zero_agents = k;
-    let mut min_sp = f64::INFINITY;
-    let mut heap = initial_heap(ctx, k);
-    for _ in 0..total_children {
-        assign_one(ctx, &mut degrees, &mut heap, &mut min_sp, &mut zero_agents);
-    }
-    degrees
 }
 
 /// Folds per-`k` winners in ascending `k` with the sweep's acceptance
@@ -491,7 +439,8 @@ impl SweepPlanner {
 
         let cfg =
             best.ok_or_else(|| PlannerError::InvalidConfig("no feasible deployment found".into()))?;
-        let degrees = waterfill_degrees_for(&ctx, cfg.agents, cfg.agents - 1 + cfg.servers);
+        let degrees =
+            Waterfill::degrees_after(params, &powers[..cfg.agents], cfg.agents - 1 + cfg.servers);
         let plan = super::realize::realize(
             &nodes[0..cfg.agents],
             &nodes[cfg.agents..cfg.agents + cfg.servers],
@@ -582,17 +531,16 @@ impl SweepPlanner {
     }
 
     /// Every site's nodes, strongest first with ties to the lower id
-    /// ([`by_power_desc`](super::improve::by_power_desc)'s order), indexed
-    /// by site. A multi-site sweep builds them once and both of its
-    /// phases read them; sites too small for phase 1 get a list too,
-    /// since phase 2 takes spares from them. Sites sort in parallel, one
-    /// per task.
+    /// ([`Platform::sort_by_power_desc`]'s order), indexed by site. A
+    /// multi-site sweep builds them once and both of its phases read
+    /// them; sites too small for phase 1 get a list too, since phase 2
+    /// takes spares from them. Sites sort in parallel, one per task.
     pub(crate) fn site_lists(&self, platform: &Platform) -> Vec<Vec<NodeId>> {
         let sites = platform.sites();
         let workers = self.worker_count(platform.node_count(), sites.len());
         crate::par_claim(workers, sites.len(), |i| {
             let mut nodes = platform.nodes_on_site(sites[i].id);
-            super::improve::by_power_desc(platform, &mut nodes);
+            platform.sort_by_power_desc(&mut nodes);
             nodes
         })
     }

@@ -145,16 +145,15 @@
 // audit: allow-file(unwrap, "mix-sweep invariants documented in each expect; the
 // single-service parity and exhaustive composition tests cover the walk")
 use super::mix::{objective_score, MixObjective, MixPlan, MixPlanner};
-use super::realize::{realize_from_eval, HeapEntry};
+use super::realize::{realize_from_eval, Waterfill};
 use super::sweep::{mix_wapp_cap, rho_cap_of, saturation_budget, SweepPlanner, TIE_EPS};
 use super::{resolve_params, PlannerError};
 use crate::model::mix::{partition_servers, ServerAssignment};
-use crate::model::throughput::sch_pow;
 use crate::model::{IncrementalEval, ModelParams};
 use adept_hierarchy::{DeploymentPlan, Role, Slot};
 use adept_platform::{MflopRate, NodeId, Platform};
 use adept_workload::ServiceMix;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Swept-list size above which the composition grid auto-activates
@@ -313,12 +312,12 @@ struct MixCtx<'a> {
     dominance: bool,
 }
 
-/// The waterfill schedule for a fixed agent count: which agent receives
+/// The child schedule for a fixed agent count: which agent receives
 /// each child slot, and how many agents still sit at degree zero after
 /// each server. Depends only on `(k, total children)` — never on the
 /// services — so it is simulated once per `k` and shared by every
 /// composition.
-struct Waterfill {
+struct ChildSchedule {
     /// Agent receiving each of the `k − 1` non-root agents' child slots.
     agent_parents: Vec<usize>,
     /// Agent receiving the `t`-th server (0-based).
@@ -328,46 +327,70 @@ struct Waterfill {
     zero_after: Vec<usize>,
 }
 
-fn waterfill(params: &ModelParams, agent_powers: &[f64], s_max: usize) -> Waterfill {
-    let k = agent_powers.len();
-    let mut degrees = vec![0usize; k];
-    let mut zero = k;
-    let mut heap: BinaryHeap<HeapEntry> = (0..k)
-        .map(|i| HeapEntry {
-            sp_after: sch_pow(params, MflopRate(agent_powers[i]), 1),
-            agent: i,
-        })
-        .collect();
-    let mut pop_next = |degrees: &mut [usize], zero: &mut usize| -> usize {
-        let top = heap.pop().expect("k >= 1 agents in the heap");
-        let i = top.agent;
-        if degrees[i] == 0 {
-            *zero -= 1;
-        }
-        degrees[i] += 1;
-        heap.push(HeapEntry {
-            sp_after: sch_pow(params, MflopRate(agent_powers[i]), degrees[i] + 1),
-            agent: i,
-        });
-        i
-    };
-    let agent_parents: Vec<usize> = (0..k - 1)
-        .map(|_| pop_next(&mut degrees, &mut zero))
-        .collect();
+/// The [`ChildSchedule`] of `agent_powers.len()` agents and `s_max`
+/// servers, read off the [`Waterfill`]'s steps.
+fn waterfill(params: &ModelParams, agent_powers: &[f64], s_max: usize) -> ChildSchedule {
+    let mut steps = Waterfill::new(params, agent_powers);
+    let agent_parents: Vec<usize> = (1..agent_powers.len()).map(|_| steps.step().0).collect();
     let mut zero_after = Vec::with_capacity(s_max + 1);
-    zero_after.push(zero);
+    zero_after.push(steps.childless());
     let server_parents: Vec<usize> = (0..s_max)
         .map(|_| {
-            let p = pop_next(&mut degrees, &mut zero);
-            zero_after.push(zero);
-            p
+            let (agent, _) = steps.step();
+            zero_after.push(steps.childless());
+            agent
         })
         .collect();
-    Waterfill {
+    ChildSchedule {
         agent_parents,
         server_parents,
         zero_after,
     }
+}
+
+/// The family member `(k, counts)` built on a fresh engine: the `k`
+/// strongest nodes as agents, then `counts[d]` servers for each
+/// candidate `d` in candidate order, dealt down the node list and
+/// attached where the [`ChildSchedule`] puts them. `None` when the
+/// member is outside the family: no agent, a demanded service without
+/// a server, more servers than nodes, or an agent left childless. The
+/// refiner scores its moves with this replay and the winner is
+/// realized from it, so a refined objective is the returned plan's,
+/// bit for bit.
+fn replay(ctx: &MixCtx<'_>, k: usize, counts: &[usize]) -> Option<IncrementalEval> {
+    let n = ctx.nodes.len();
+    if k == 0 || n < k + ctx.candidates.len() || counts.contains(&0) {
+        return None;
+    }
+    let total: usize = counts.iter().sum();
+    if total > n - k {
+        return None;
+    }
+    let schedule = waterfill(ctx.params, &ctx.powers[..k], total);
+    if schedule.zero_after[total] > 0 {
+        return None;
+    }
+    let mut eval =
+        IncrementalEval::from_agents_mix(ctx.params, ctx.platform, &ctx.nodes[..k], ctx.mix);
+    for &a in &schedule.agent_parents {
+        eval.assign_child_slot(Slot(a)).expect("agents exist");
+    }
+    let mut t = 0usize;
+    for (d, &count) in counts.iter().enumerate() {
+        for _ in 0..count {
+            let idx = k + t;
+            eval.add_server_for(
+                Slot(schedule.server_parents[t]),
+                ctx.nodes[idx],
+                MflopRate(ctx.powers[idx]),
+                ctx.candidates[d],
+            )
+            .expect("sweep nodes are unused");
+            t += 1;
+        }
+    }
+    eval.commit();
+    Some(eval)
 }
 
 /// The pruned depth-first composition walk for one agent count (see the
@@ -686,45 +709,13 @@ fn refine_k_window(
 /// (first wins ties) until a fixed point or [`MAX_REFINE_STEPS`]. The
 /// agent moves are what make the `k_block` stride safe —
 /// they walk the winner off its grid line to the local k optimum.
-/// Every candidate is scored by a fresh replay — the exact computation
-/// the final winner replay performs — so the refined objective stays
-/// bit-consistent with the returned plan.
+/// Every candidate is scored by a fresh [`replay`], the one the winner
+/// is realized from, so the refined objective stays bit-consistent with
+/// the returned plan.
 fn refine_cfg(ctx: &MixCtx<'_>, cfg: &mut KMixBest, stats: &mut SweepStats) {
     let parts = ctx.candidates.len();
-    let n = ctx.nodes.len();
-    let score = |k: usize, counts: &[usize]| -> Option<f64> {
-        if k == 0 || n < k + parts || counts.contains(&0) {
-            return None;
-        }
-        let s_max = n - k;
-        let total: usize = counts.iter().sum();
-        if total > s_max {
-            return None;
-        }
-        let wf = waterfill(ctx.params, &ctx.powers[..k], s_max);
-        if wf.zero_after[total] > 0 {
-            return None;
-        }
-        let mut eval =
-            IncrementalEval::from_agents_mix(ctx.params, ctx.platform, &ctx.nodes[..k], ctx.mix);
-        for &a in &wf.agent_parents {
-            eval.assign_child_slot(Slot(a)).expect("agents exist");
-        }
-        let mut t = 0usize;
-        for (d, &cnt) in counts.iter().enumerate() {
-            for _ in 0..cnt {
-                let idx = k + t;
-                eval.add_server_for(
-                    Slot(wf.server_parents[t]),
-                    ctx.nodes[idx],
-                    MflopRate(ctx.powers[idx]),
-                    ctx.candidates[d],
-                )
-                .expect("sweep nodes are unused");
-                t += 1;
-            }
-        }
-        Some(objective_score(ctx.objective, &eval))
+    let score = |k: usize, counts: &[usize]| {
+        replay(ctx, k, counts).map(|eval| objective_score(ctx.objective, &eval))
     };
     for _ in 0..MAX_REFINE_STEPS {
         let mut best_move: Option<(usize, Vec<usize>, f64)> = None;
@@ -1158,27 +1149,7 @@ impl SweepPlanner {
 
         // Replay the winner (bit-exact: the walk's undos rewind exactly,
         // and the refiner scores by this same replay).
-        let wf = waterfill(params, &ctx.powers[..cfg.agents], n - cfg.agents);
-        let mut eval =
-            IncrementalEval::from_agents_mix(params, platform, &nodes[..cfg.agents], mix);
-        for &a in &wf.agent_parents {
-            eval.assign_child_slot(Slot(a)).expect("agents exist");
-        }
-        let mut t = 0usize;
-        for (d, &count) in cfg.counts.iter().enumerate() {
-            for _ in 0..count {
-                let idx = cfg.agents + t;
-                eval.add_server_for(
-                    Slot(wf.server_parents[t]),
-                    nodes[idx],
-                    MflopRate(ctx.powers[idx]),
-                    candidates[d],
-                )
-                .expect("sweep nodes are unused");
-                t += 1;
-            }
-        }
-        eval.commit();
+        let eval = replay(&ctx, cfg.agents, &cfg.counts).expect("the winner is a family member");
         debug_assert_eq!(
             objective_score(objective, &eval).to_bits(),
             cfg.objective.to_bits(),

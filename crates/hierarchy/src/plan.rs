@@ -146,7 +146,7 @@ impl std::error::Error for PlanError {}
 /// intermediate states that violate it.
 ///
 /// See the module docs for the structure-of-arrays layout.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct DeploymentPlan {
     nodes: Vec<NodeId>,
     roles: Vec<Role>,
@@ -171,6 +171,30 @@ impl PartialEq for DeploymentPlan {
             && self.roles == other.roles
             && self.parents == other.parents
             && self.slots().all(|s| self.children(s) == other.children(s))
+    }
+}
+
+impl fmt::Debug for DeploymentPlan {
+    /// Prints what [`PartialEq`] compares: each slot's node, role, parent
+    /// and children. The arena layout and the node set, whose hash order
+    /// differs from one plan to the next, are left out, so equal plans
+    /// print alike.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("DeploymentPlan ")?;
+        f.debug_map()
+            .entries(self.slots().map(|s| {
+                let i = s.index();
+                (
+                    s,
+                    (
+                        self.nodes[i],
+                        self.roles[i],
+                        self.parents[i],
+                        self.children(s),
+                    ),
+                )
+            }))
+            .finish()
     }
 }
 
@@ -717,6 +741,27 @@ mod tests {
         assert_eq!(p.role(p.root()), Role::Agent);
         assert_eq!(p.parent(p.root()), None);
         assert_eq!(p.depth(), 1);
+    }
+
+    #[test]
+    fn debug_output_is_the_same_for_equal_plans() {
+        // Each plan's node set hashes with its own random keys; the
+        // printed form must not follow that order.
+        let build = || {
+            let mut p = DeploymentPlan::with_root(n(0));
+            let agents: Vec<Slot> = (1..4)
+                .map(|i| p.add_agent(p.root(), n(i)).unwrap())
+                .collect();
+            for i in 4..12u32 {
+                p.add_server(agents[i as usize % 3], n(i)).unwrap();
+            }
+            assert_eq!(p.len(), 12);
+            format!("{p:?}")
+        };
+        let first = build();
+        for _ in 0..8 {
+            assert_eq!(build(), first);
+        }
     }
 
     #[test]

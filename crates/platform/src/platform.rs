@@ -191,21 +191,34 @@ impl Platform {
     }
 
     /// Node ids sorted by **descending computing power**, ties broken by id
-    /// for determinism. Useful to heuristics and reporting.
+    /// for determinism ([`sort_by_power_desc`](Platform::sort_by_power_desc)
+    /// over every node). Useful to heuristics and reporting.
+    pub fn ids_by_power_desc(&self) -> Vec<NodeId> {
+        let mut ids: Vec<NodeId> = self.nodes.iter().map(|n| n.id).collect();
+        self.sort_by_power_desc(&mut ids);
+        ids
+    }
+
+    /// Sorts node ids strongest first: descending computing power, ties
+    /// to the lower id. The one strongest-first order of the planners.
     ///
     /// Powers are positive and finite, so their IEEE-754 bit patterns
     /// order like the values; sorting `(bits, id)` integer pairs instead
     /// of calling `power()` per comparison keeps this O(n log n) with
     /// branch-light comparisons — it is the first step of every planner
     /// at n = 10⁵–10⁶.
-    pub fn ids_by_power_desc(&self) -> Vec<NodeId> {
-        let mut keyed: Vec<(u64, NodeId)> = self
-            .nodes
+    ///
+    /// # Panics
+    /// Panics on an id this platform did not hand out.
+    pub fn sort_by_power_desc(&self, ids: &mut [NodeId]) {
+        let mut keyed: Vec<(u64, NodeId)> = ids
             .iter()
-            .map(|n| (n.power.value().to_bits(), n.id))
+            .map(|&id| (self.power(id).value().to_bits(), id))
             .collect();
         keyed.sort_unstable_by_key(|&(bits, id)| (std::cmp::Reverse(bits), id));
-        keyed.into_iter().map(|(_, id)| id).collect()
+        for (slot, (_, id)) in ids.iter_mut().zip(keyed) {
+            *slot = id;
+        }
     }
 
     /// Total computing power of the platform (Σ w_i).

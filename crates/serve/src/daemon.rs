@@ -263,7 +263,18 @@ fn accept_loop(
             Ok((stream, _)) => {
                 let state = Arc::clone(state);
                 let handle = std::thread::spawn(move || serve_connection(stream, &state));
-                workers.lock().push(handle);
+                let mut workers = workers.lock();
+                // A finished connection's thread keeps its stack mapped
+                // until it is joined; joining it now returns at once.
+                let mut i = 0;
+                while i < workers.len() {
+                    if workers[i].is_finished() {
+                        let _ = workers.swap_remove(i).join();
+                    } else {
+                        i += 1;
+                    }
+                }
+                workers.push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(POLL);
@@ -610,5 +621,50 @@ fn daemon_status(state: &Arc<SharedState>) -> DaemonStatus {
         tenants,
         resume_errors,
         cache: state.cache.stats(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::ServeClient;
+    use adept_platform::generator::lyon_cluster;
+    use std::time::Instant;
+
+    #[test]
+    fn finished_connection_threads_are_released() {
+        let dir = std::env::temp_dir().join(format!("adept-daemon-workers-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = Daemon::start(ServeConfig::new(
+            "127.0.0.1:0",
+            dir.clone(),
+            vec![("lyon4".into(), lyon_cluster(4))],
+        ))
+        .expect("daemon starts");
+        // One connection at a time: each closes, and its thread ends,
+        // before the next one opens.
+        for _ in 0..32 {
+            let mut client = ServeClient::connect(daemon.addr()).expect("daemon is listening");
+            client.status().expect("status");
+            drop(client);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !daemon.workers.lock().iter().all(JoinHandle::is_finished) {
+                assert!(
+                    Instant::now() < deadline,
+                    "a closed connection's thread kept running"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        let mut client = ServeClient::connect(daemon.addr()).expect("daemon is listening");
+        client.status().expect("status");
+        let held = daemon.workers.lock().len();
+        assert!(
+            held <= 4,
+            "{held} connection threads held after 33 connections"
+        );
+        drop(client);
+        daemon.stop();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
