@@ -90,7 +90,7 @@ pub fn server_prediction_cycles_into(params: &ModelParams, powers: &[f64], out: 
 }
 
 /// Batched [`sch_pow`](super::throughput::sch_pow) at one **shared**
-/// degree — the planner-setup pattern (`sorted_nodes` keys every node at
+/// degree — the planner-setup pattern (`ranked_nodes` keys every node at
 /// `d = n − 1`). `out[i] = 1 / agent_cycle(powers[i], degree)`,
 /// bit-exact with the scalar kernel.
 pub fn sch_pow_shared_degree_into(

@@ -4,8 +4,10 @@
 //! scheduling power:
 //!
 //! 1. **Sort** (steps 1–2): every node is scored as an agent with
-//!    `n_nodes − 1` children (`calc_sch_pow`) and nodes are sorted
-//!    descending (`sort_nodes`). The head of the list becomes the root.
+//!    `n_nodes − 1` children (`calc_sch_pow`) and nodes are ranked
+//!    descending (`sort_nodes`). The head of the ranking becomes the
+//!    root. The ranking sorts lazily, only as deep as growth reads it
+//!    ([`NodeRanking`]), in exactly the full sort's order.
 //! 2. **Degenerate case** (steps 3–7): if the root's scheduling power with
 //!    a *single* child is already below `min(service power of one server,
 //!    client demand)` — `min_ser_cv` — the deployment is one agent and one
@@ -84,7 +86,7 @@ use super::realize::realize_from_eval;
 use super::{improve, resolve_params, single_demand, Planner, PlannerError};
 use crate::model::{batch, ModelParams};
 use adept_hierarchy::DeploymentPlan;
-use adept_platform::{NodeId, Platform};
+use adept_platform::{NodeRanking, Platform};
 use adept_workload::{ClientDemand, ServiceMix, ServiceSpec};
 
 /// The paper's heterogeneous deployment heuristic (Algorithm 1).
@@ -133,24 +135,27 @@ impl HeuristicPlanner {
         }
     }
 
-    /// Steps 1–2: nodes sorted by `calc_sch_pow` with `n_nodes − 1`
-    /// children, descending. Ties break toward lower node id (stable).
-    /// The scores are computed once, batched over the flat power lane
+    /// Steps 1–2: every node ranked by `calc_sch_pow` with `n_nodes − 1`
+    /// children, descending, ties to the lower node id. The scores are
+    /// computed once, batched over the flat power lane
     /// ([`batch::sch_pow_shared_degree_into`]) — the shared degree makes
-    /// the per-node work one vectorized division — and the sort runs on
-    /// integer keys ([`batch::sort_rate_desc_id_asc`]).
-    pub(crate) fn sorted_nodes(params: &ModelParams, platform: &Platform) -> Vec<NodeId> {
+    /// the per-node work one vectorized division — and keyed as integers
+    /// ([`batch::descending_key`]). The ranking sorts lazily: the growth
+    /// loop reads only its head (105 of 10⁶ nodes on the 4 × 250,000
+    /// grid), so it pays one selection pass and a sort of the head, and
+    /// every prefix equals [`batch::sort_rate_desc_id_asc`]'s order.
+    pub(crate) fn ranked_nodes(params: &ModelParams, platform: &Platform) -> NodeRanking {
         let d = platform.node_count().saturating_sub(1).max(1);
         let powers: Vec<f64> = platform.nodes().iter().map(|r| r.power.value()).collect();
         let mut rates = Vec::new();
         batch::sch_pow_shared_degree_into(params, &powers, d, &mut rates);
-        let mut keyed: Vec<(f64, NodeId)> = rates
-            .into_iter()
-            .zip(platform.nodes())
-            .map(|(rate, r)| (rate, r.id))
-            .collect();
-        batch::sort_rate_desc_id_asc(&mut keyed);
-        keyed.into_iter().map(|(_, id)| id).collect()
+        NodeRanking::new(
+            rates
+                .into_iter()
+                .zip(platform.nodes())
+                .map(|(rate, r)| (batch::descending_key(rate), r.id))
+                .collect(),
+        )
     }
 }
 
@@ -213,7 +218,7 @@ mod tests {
     use adept_hierarchy::validate::validate_relaxed;
     use adept_hierarchy::Slot;
     use adept_platform::generator::{heterogenized_cluster, lyon_cluster};
-    use adept_platform::{BackgroundLoad, CapacityProbe, MflopRate};
+    use adept_platform::{BackgroundLoad, CapacityProbe, MflopRate, NodeId};
     use adept_workload::Dgemm;
     use std::collections::HashSet;
 
@@ -228,6 +233,22 @@ mod tests {
     }
 
     // ---- The clone-and-full-evaluate reference ----
+
+    /// Steps 1–2 as a full sort of every node: the order
+    /// [`HeuristicPlanner::ranked_nodes`] reads lazily.
+    fn sorted_nodes(params: &ModelParams, platform: &Platform) -> Vec<NodeId> {
+        let d = platform.node_count().saturating_sub(1).max(1);
+        let powers: Vec<f64> = platform.nodes().iter().map(|r| r.power.value()).collect();
+        let mut rates = Vec::new();
+        batch::sch_pow_shared_degree_into(params, &powers, d, &mut rates);
+        let mut keyed: Vec<(f64, NodeId)> = rates
+            .into_iter()
+            .zip(platform.nodes())
+            .map(|(rate, r)| (rate, r.id))
+            .collect();
+        batch::sort_rate_desc_id_asc(&mut keyed);
+        keyed.into_iter().map(|(_, id)| id).collect()
+    }
 
     /// The agent of `plan` that keeps the highest scheduling power after
     /// receiving one more child. Ties break toward the lower slot.
@@ -383,7 +404,7 @@ mod tests {
         demand: ClientDemand,
     ) -> DeploymentPlan {
         let params = resolve_params(planner.params, platform);
-        let sorted = HeuristicPlanner::sorted_nodes(&params, platform);
+        let sorted = sorted_nodes(&params, platform);
         let plan = DeploymentPlan::agent_server(sorted[0], sorted[1]);
         let min_ser_cv =
             hier_ser_pow(&params, service, [platform.power(sorted[1])]).min(demand.rate());
@@ -565,7 +586,13 @@ mod tests {
             3,
         );
         let params = ModelParams::from_platform(&platform);
-        let sorted = HeuristicPlanner::sorted_nodes(&params, &platform);
+        let mut ranking = HeuristicPlanner::ranked_nodes(&params, &platform);
+        let sorted = ranking.prefix(usize::MAX);
+        assert_eq!(
+            sorted,
+            sorted_nodes(&params, &platform),
+            "lazy vs full sort"
+        );
         for w in sorted.windows(2) {
             assert!(
                 platform.power(w[0]).value() >= platform.power(w[1]).value(),

@@ -51,9 +51,8 @@ use super::{resolve_params, PlannerError, EPS};
 use crate::model::mix::{MixReport, ServerAssignment};
 use crate::model::{IncrementalEval, ModelParams};
 use adept_hierarchy::{DeploymentPlan, Slot};
-use adept_platform::{MflopRate, NodeId, Platform, SiteId};
+use adept_platform::{MflopRate, NodeRanking, Platform, SiteId};
 use adept_workload::{MixDemand, ServiceMix};
-use std::collections::VecDeque;
 
 /// What a [`MixPlanner`] maximizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -245,32 +244,38 @@ impl MixPlanner {
         demand: &MixDemand,
         candidates: &[usize],
     ) -> IncrementalEval {
-        let sorted = HeuristicPlanner::sorted_nodes(params, platform);
+        // Strongest first, sorted only as deep as the loop reads it;
+        // `next` is the rank of the next node to offer.
+        let mut ranking = HeuristicPlanner::ranked_nodes(params, platform);
 
         // Seed: the strongest node roots the tree; each demanded service
         // receives one seed server (strongest remaining nodes) — the mix
         // counterpart of Algorithm 1's steps 3–5 minimal deployment.
-        let mut eval = IncrementalEval::from_agents_mix(params, platform, &[sorted[0]], mix);
+        let root = ranking.get(0).expect("the caller checked the node count");
+        let mut eval = IncrementalEval::from_agents_mix(params, platform, &[root], mix);
         let mut server_order: Vec<Slot> = Vec::new();
-        let mut idx = 1usize;
+        let mut next = 1usize;
         for &j in candidates {
-            let node = sorted[idx];
+            let node = ranking
+                .get(next)
+                .expect("the caller checked the node count");
             let slot = eval
                 .add_server_for(Slot(0), node, platform.power(node), j)
                 .expect("seed nodes are unused");
             server_order.push(slot);
-            idx += 1;
+            next += 1;
         }
         eval.commit();
 
         // Greedy growth (Algorithm 1 steps 9–39, mix objective).
-        let mut queue: VecDeque<NodeId> = sorted[idx..].iter().copied().collect();
         let mut heap = AttachHeap::new(params, &eval);
         let mut current = objective_score(self.objective, &eval);
         let mut next_victim = 0usize;
 
-        while !queue.is_empty() && !demand_met(&eval, demand) {
-            let node = *queue.front().expect("queue checked non-empty");
+        while !demand_met(&eval, demand) {
+            let Some(node) = ranking.get(next) else {
+                break;
+            };
             let power = platform.power(node);
             let site = platform.site_of(node);
 
@@ -281,7 +286,7 @@ impl MixPlanner {
             if accept_growth(self.objective, &choice, current, service_min) {
                 let slot = eval
                     .add_server_for(agent, node, power, choice.service)
-                    .expect("queue nodes are unused");
+                    .expect("ranked nodes past the cursor are unused");
                 debug_assert_eq!(
                     choice.score.to_bits(),
                     objective_score(self.objective, &eval).to_bits(),
@@ -291,7 +296,7 @@ impl MixPlanner {
                 heap.update(params, &eval, agent);
                 server_order.push(slot);
                 current = choice.score;
-                queue.pop_front();
+                next += 1;
                 continue;
             }
 
@@ -304,7 +309,8 @@ impl MixPlanner {
                     platform,
                     &mut eval,
                     demand,
-                    &queue,
+                    &mut ranking,
+                    next,
                     current,
                     &mut heap,
                     victim,
@@ -314,9 +320,7 @@ impl MixPlanner {
                 ) {
                     next_victim += 1;
                     current = sc;
-                    for _ in 0..consumed {
-                        queue.pop_front();
-                    }
+                    next += consumed;
                     continue;
                 }
             }
@@ -586,17 +590,18 @@ pub(crate) fn accept_growth(
 /// The `shift_nodes` conversion under the mix objective, as pure deltas:
 /// promote `victim` (the strongest unpromoted server), steal-rebalance
 /// children toward it while that lifts the binding agent's scheduling
-/// power, then grow servers from `queue` — service chosen per node —
-/// while the objective improves. Commits and returns `(consumed, score)`
-/// when the batch strictly beats `current`; otherwise unwinds to the
-/// input state bit-exactly and returns `None`.
+/// power, then grow servers from `ranking`, starting at rank `next` —
+/// service chosen per node — while the objective improves. Commits and
+/// returns `(consumed, score)` when the batch strictly beats `current`;
+/// otherwise unwinds to the input state bit-exactly and returns `None`.
 #[allow(clippy::too_many_arguments)] // a probe needs the whole growth-loop state
 fn try_conversion_mix(
     params: &ModelParams,
     platform: &Platform,
     eval: &mut IncrementalEval,
     demand: &MixDemand,
-    queue: &VecDeque<NodeId>,
+    ranking: &mut NodeRanking,
+    next: usize,
     current: f64,
     heap: &mut AttachHeap,
     victim: Slot,
@@ -617,7 +622,7 @@ fn try_conversion_mix(
     heap.rebuild(params, eval);
     let mut score = objective_score(objective, eval);
     let mut consumed = 0usize;
-    while let Some(&more) = queue.get(consumed) {
+    while let Some(more) = ranking.get(next + consumed) {
         if demand_met(eval, demand) {
             break;
         }
@@ -629,7 +634,7 @@ fn try_conversion_mix(
         if accept_growth(objective, &choice, score, service_min) {
             let slot = eval
                 .add_server_for(agent, more, power, choice.service)
-                .expect("queue nodes are unused");
+                .expect("ranked nodes past the cursor are unused");
             score = choice.score;
             consumed += 1;
             heap.update(params, eval, agent);

@@ -63,11 +63,14 @@
 //! **Multi-site platforms.** Both references run the same two phases:
 //! the per-site sweeps (`per_site_sweeps`: one site per task, each at
 //! its intra bandwidth) and the cross-site growth (`extend_across_sites`,
-//! scored by ρ or by the mix objective). Each sweep sorts every site's
-//! nodes strongest-first once (`site_lists`) and both phases read those
-//! lists: phase 1 scans a site's coarsened prefix, and phase 2 draws a
-//! site's spares from its list, reading it only as deep as the
-//! saturation budget when coarsening is on. Their scan cores stay separate:
+//! scored by ρ or by the mix objective). Each sweep buckets the nodes by
+//! site in one pass over the catalog (`site_lists`), and each phase-1
+//! task ranks its site strongest-first lazily ([`NodeRanking`]) and hands
+//! the ranking to phase 2: phase 1 scans the site's coarsened prefix,
+//! and phase 2 draws the site's spares from its ranking, reading it only
+//! as deep as the saturation budget when coarsening is on. A ranking
+//! sorts only what is read, so a 250,000-node site sorts about a
+//! thousand entries, not the site. Their scan cores stay separate:
 //! [`best_plan`](SweepPlanner::best_plan) steps the exact family with
 //! O(1) closed-form updates, while a one-service composition walk would
 //! grid `k` above `MIX_GRID_THRESHOLD` (96 nodes) and pay one engine
@@ -81,7 +84,7 @@ use super::{resolve_params, Planner, PlannerError};
 use crate::model::throughput::{sch_pow, service_rate_from_sums};
 use crate::model::{batch, comm, IncrementalEval, ModelParams};
 use adept_hierarchy::{DeploymentPlan, Slot};
-use adept_platform::{NodeId, Platform};
+use adept_platform::{NodeId, NodeRanking, Platform};
 use adept_workload::{ClientDemand, ServiceMix, ServiceSpec};
 
 /// Strict-improvement resolution of the sweep: ties within this margin
@@ -122,7 +125,8 @@ pub(crate) const COARSEN_THRESHOLD: usize = 4096;
 ///
 /// The powers come as an iterator that is read only up to `s_sat`, so
 /// sizing a 10⁵-node list's budget reads its first few hundred entries
-/// — all of them only when the list never saturates.
+/// — all of them only when the list never saturates. Fed from a
+/// [`NodeRanking`]'s iterator, those reads are all the ranking sorts.
 pub(crate) fn saturation_budget(
     params: &ModelParams,
     rho_cap: f64,
@@ -152,28 +156,33 @@ pub(crate) fn rho_cap_of(params: &ModelParams, strongest: f64) -> f64 {
 }
 
 /// The saturation truncation of every swept list: the prefix of a
-/// power-descending node list that its [`saturation_budget`] under
-/// `params` keeps, with the ρ cap taken from the list's own strongest
-/// node — right because the swept families draw only from the list.
-/// [`SweepPlanner::coarsen_nodes`] applies it to the flat, per-site and
-/// mix lists alike; phase 2's spare pools (`extend_across_sites`) size
-/// the same budget against the platform-wide ρ cap instead. `wapp`
-/// should be the heaviest demanded service's ([`mix_wapp_cap`] for a
-/// mix): the heavier the service, the less each server contributes to
-/// Eq. 15 and the deeper the sweep may need to reach, so the heaviest
-/// maximizes the budget and keeps the truncation conservative.
-pub(crate) fn truncate_to_saturation_budget<'a>(
+/// strongest-first ranking that its [`saturation_budget`] under `params`
+/// keeps, with the ρ cap taken from the ranking's own strongest node —
+/// right because the swept families draw only from the list. The budget
+/// reads powers from the ranking lazily, so the ranking sorts only the
+/// budget-length prefix this returns. [`SweepPlanner::coarsen_nodes`]
+/// applies it to the flat, per-site and mix lists alike; phase 2's spare
+/// pools (`extend_across_sites`) size the same budget against the
+/// platform-wide ρ cap instead. `wapp` should be the heaviest demanded
+/// service's ([`mix_wapp_cap`] for a mix): the heavier the service, the
+/// less each server contributes to Eq. 15 and the deeper the sweep may
+/// need to reach, so the heaviest maximizes the budget and keeps the
+/// truncation conservative.
+pub(crate) fn truncate_to_saturation_budget<'r>(
     params: &ModelParams,
     platform: &Platform,
-    nodes: &'a [NodeId],
+    ranking: &'r mut NodeRanking,
     wapp: f64,
-) -> &'a [NodeId] {
-    let Some(&strongest) = nodes.first() else {
-        return nodes;
+) -> &'r [NodeId] {
+    let keep = match ranking.get(0) {
+        None => 0,
+        Some(strongest) => {
+            let cap = rho_cap_of(params, platform.power(strongest).value());
+            let powers = ranking.iter().map(|id| platform.power(id).value());
+            saturation_budget(params, cap, powers, wapp)
+        }
     };
-    let cap = rho_cap_of(params, platform.power(strongest).value());
-    let powers = nodes.iter().map(|&id| platform.power(id).value());
-    &nodes[..saturation_budget(params, cap, powers, wapp).min(nodes.len())]
+    ranking.prefix(keep)
 }
 
 /// The conservative `wapp` a mix hands to
@@ -239,21 +248,37 @@ impl SweepPlanner {
         self.coarsen.unwrap_or(n_local > COARSEN_THRESHOLD)
     }
 
-    /// The prefix of a power-descending node list that the sweep scans:
+    /// The prefix of a strongest-first ranking that the sweep scans:
     /// [`truncate_to_saturation_budget`]'s when coarsening is active for
-    /// the list's size, the whole list otherwise.
-    pub(crate) fn coarsen_nodes<'a>(
+    /// the ranking's size, the whole ranking otherwise (then one plain
+    /// sort). The ranking sorts only the prefix returned.
+    pub(crate) fn coarsen_nodes<'r>(
         &self,
         params: &ModelParams,
         platform: &Platform,
-        nodes: &'a [NodeId],
+        ranking: &'r mut NodeRanking,
         wapp_cap: f64,
-    ) -> &'a [NodeId] {
-        if self.coarsen_active(nodes.len()) {
-            truncate_to_saturation_budget(params, platform, nodes, wapp_cap)
+    ) -> &'r [NodeId] {
+        if self.coarsen_active(ranking.len()) {
+            truncate_to_saturation_budget(params, platform, ranking, wapp_cap)
         } else {
-            nodes
+            ranking.prefix(usize::MAX)
         }
+    }
+
+    /// The flat node list a sweep scans: every node of the platform
+    /// ranked strongest first, cut by [`coarsen_nodes`].
+    ///
+    /// [`coarsen_nodes`]: SweepPlanner::coarsen_nodes
+    pub(crate) fn flat_nodes(
+        &self,
+        params: &ModelParams,
+        platform: &Platform,
+        wapp_cap: f64,
+    ) -> Vec<NodeId> {
+        let mut ranking = platform.rank_by_power(platform.nodes().iter().map(|r| r.id));
+        self.coarsen_nodes(params, platform, &mut ranking, wapp_cap)
+            .to_vec()
     }
 
     /// Worker-thread count for a loop over `n_local` items, honoring
@@ -397,9 +422,8 @@ impl SweepPlanner {
             // model's.
             return self.best_plan_multi_site(platform, service, &params);
         }
-        let nodes = platform.ids_by_power_desc();
-        let nodes = self.coarsen_nodes(&params, platform, &nodes, service.wapp.value());
-        self.best_over_nodes(&params, platform, service, nodes)
+        let nodes = self.flat_nodes(&params, platform, service.wapp.value());
+        self.best_over_nodes(&params, platform, service, &nodes)
     }
 
     /// The uniform-network sweep core over an explicit power-descending
@@ -466,13 +490,13 @@ impl SweepPlanner {
     ///    messages per request cross the WAN.
     ///
     /// Both phases are shared with the mix reference's multi-site family,
-    /// and both read the per-site lists [`site_lists`] builds once.
-    /// Falls back to the min-B scalarized sweep re-scored under the
-    /// per-link model when no single site can seat two nodes.
+    /// and both read one strongest-first ranking per site: phase 1 ranks
+    /// each site's nodes and hands the rankings to phase 2. Falls back to
+    /// the min-B scalarized sweep re-scored under the per-link model when
+    /// no single site can seat two nodes.
     ///
     /// [`per_site_sweeps`]: SweepPlanner::per_site_sweeps
     /// [`extend_across_sites`]: SweepPlanner::extend_across_sites
-    /// [`site_lists`]: SweepPlanner::site_lists
     fn best_plan_multi_site(
         &self,
         platform: &Platform,
@@ -480,14 +504,8 @@ impl SweepPlanner {
         params: &ModelParams,
     ) -> Result<(DeploymentPlan, f64), PlannerError> {
         let wapp = service.wapp.value();
-        let lists = self.site_lists(platform);
-        let per_site = self.per_site_sweeps(
-            platform,
-            params,
-            &lists,
-            2,
-            wapp,
-            |inner, site_params, nodes| {
+        let (mut rankings, per_site) =
+            self.per_site_sweeps(platform, params, 2, wapp, |inner, site_params, nodes| {
                 let (plan, _) = inner
                     .best_over_nodes(site_params, platform, service, nodes)
                     .ok()?;
@@ -495,8 +513,7 @@ impl SweepPlanner {
                 // plan unless a client site is declared elsewhere).
                 let rho = params.evaluate(platform, &plan, service).rho;
                 Some((plan, rho))
-            },
-        );
+            });
         let mut best: Option<(DeploymentPlan, f64)> = None;
         for (plan, rho) in per_site {
             if best
@@ -509,9 +526,8 @@ impl SweepPlanner {
         let Some((seed, _)) = best else {
             // No site seats two nodes: sweep the scalarized family and
             // re-score per-link.
-            let nodes = platform.ids_by_power_desc();
-            let nodes = self.coarsen_nodes(params, platform, &nodes, wapp);
-            let (plan, _) = self.best_over_nodes(params, platform, service, nodes)?;
+            let nodes = self.flat_nodes(params, platform, wapp);
+            let (plan, _) = self.best_over_nodes(params, platform, service, &nodes)?;
             let rho = params.evaluate(platform, &plan, service).rho;
             return Ok((plan, rho));
         };
@@ -519,7 +535,7 @@ impl SweepPlanner {
         self.extend_across_sites(
             params,
             platform,
-            &lists,
+            &mut rankings,
             &mut eval,
             seed.root(),
             &[0],
@@ -530,33 +546,34 @@ impl SweepPlanner {
         Ok((super::realize::realize_from_eval(&eval), rho))
     }
 
-    /// Every site's nodes, strongest first with ties to the lower id
-    /// ([`Platform::sort_by_power_desc`]'s order), indexed by site. A
-    /// multi-site sweep builds them once and both of its phases read
-    /// them; sites too small for phase 1 get a list too, since phase 2
-    /// takes spares from them. Sites sort in parallel, one per task.
-    pub(crate) fn site_lists(&self, platform: &Platform) -> Vec<Vec<NodeId>> {
-        let sites = platform.sites();
-        let workers = self.worker_count(platform.node_count(), sites.len());
-        crate::par_claim(workers, sites.len(), |i| {
-            let mut nodes = platform.nodes_on_site(sites[i].id);
-            platform.sort_by_power_desc(&mut nodes);
-            nodes
-        })
+    /// Every site's node ids in id order, indexed by site, from one pass
+    /// over the catalog. Phase 1 ranks each list strongest first inside
+    /// the site's task; sites too small for phase 1 get a ranking too,
+    /// since phase 2 takes spares from them.
+    fn site_lists(platform: &Platform) -> Vec<Vec<NodeId>> {
+        let mut lists = vec![Vec::new(); platform.site_count()];
+        for node in platform.nodes() {
+            lists[node.site.index()].push(node.id);
+        }
+        lists
     }
 
-    /// Phase 1 of both multi-site sweeps: runs `sweep` once per site that
-    /// holds at least `min_nodes` nodes, and returns the results that are
+    /// Phase 1 of both multi-site sweeps: ranks every site's nodes
+    /// strongest first ([`Platform::rank_by_power`]) and runs `sweep` once
+    /// per site that holds at least `min_nodes` nodes. Returns the
+    /// rankings, indexed by site, for phase 2, and the results that are
     /// `Some`, in site order.
     ///
     /// `sweep` receives the inner planner, the site's model parameters
-    /// and the scanned prefix of the site's list in `lists` (see
-    /// [`site_lists`]). The parameters price every link at the site's
-    /// intra bandwidth with `site_aware` off — links inside a site are
-    /// uniform — and the prefix is the list coarsened under that model
-    /// with `wapp_cap` (see [`coarsen_nodes`]). Sites run in parallel,
-    /// one per task; the inner planner then keeps its k-loop sequential
-    /// so the two levels do not multiply thread counts.
+    /// and the scanned prefix of the site's ranking. The parameters price
+    /// every link at the site's intra bandwidth with `site_aware` off —
+    /// links inside a site are uniform — and the prefix is the ranking
+    /// coarsened under that model with `wapp_cap` (see [`coarsen_nodes`]),
+    /// so a coarsened site sorts only its budget-length head. Sites run in
+    /// parallel, one per task; each task builds its site's ranking from
+    /// [`site_lists`] and hands it back with its result. The inner planner
+    /// then keeps its k-loop sequential so the two levels do not multiply
+    /// thread counts.
     ///
     /// [`coarsen_nodes`]: SweepPlanner::coarsen_nodes
     /// [`site_lists`]: SweepPlanner::site_lists
@@ -564,13 +581,13 @@ impl SweepPlanner {
         &self,
         platform: &Platform,
         params: &ModelParams,
-        lists: &[Vec<NodeId>],
         min_nodes: usize,
         wapp_cap: f64,
         sweep: impl Fn(&SweepPlanner, &ModelParams, &[NodeId]) -> Option<R> + Sync,
-    ) -> Vec<R> {
+    ) -> (Vec<NodeRanking>, Vec<R>) {
         let net = platform.network();
         let sites = platform.sites();
+        let lists = Self::site_lists(platform);
         let workers = self.worker_count(platform.node_count(), sites.len());
         let inner = if workers > 1 {
             SweepPlanner {
@@ -582,8 +599,9 @@ impl SweepPlanner {
         };
         let per_site = crate::par_claim(workers, sites.len(), |i| {
             let site = &sites[i];
-            if lists[i].len() < min_nodes {
-                return None;
+            let mut ranking = platform.rank_by_power(lists[i].iter().copied());
+            if ranking.len() < min_nodes {
+                return (ranking, None);
             }
             let site_params = ModelParams {
                 bandwidth: net.bandwidth_between(site.id, site.id),
@@ -593,17 +611,19 @@ impl SweepPlanner {
             // Budget under the site's own bandwidth — the model this
             // site's sweep runs in. The scalarized min-B would deflate
             // the ρ cap and cut the list below the flat winner.
-            let nodes = self.coarsen_nodes(&site_params, platform, &lists[i], wapp_cap);
-            sweep(&inner, &site_params, nodes)
+            let nodes = self.coarsen_nodes(&site_params, platform, &mut ranking, wapp_cap);
+            let result = sweep(&inner, &site_params, nodes);
+            (ranking, result)
         });
-        per_site.into_iter().flatten().collect()
+        let (rankings, results): (Vec<_>, Vec<_>) = per_site.into_iter().unzip();
+        (rankings, results.into_iter().flatten().collect())
     }
 
     /// Phase 2 of both multi-site sweeps: grows server groups behind
     /// site-local mid-agents on the site-aware engine `eval`, whose tree
-    /// hangs off `root`. Each site's spares are the nodes of its list in
-    /// `lists` (see [`site_lists`]) that `eval` does not use, in list
-    /// order.
+    /// hangs off `root`. Each site's spares are the nodes of its ranking
+    /// in `rankings` (phase 1's, see [`per_site_sweeps`]) that `eval` does
+    /// not use, in rank order.
     ///
     /// Every site may hold **multiple mid-agents**. Each step of a site's
     /// sub-sweep probes every candidate move — attach the next spare
@@ -626,22 +646,24 @@ impl SweepPlanner {
     /// When coarsening is active for the largest site, every site's spare
     /// pool is cut at its [`saturation_budget`] under `wapp_cap`, against
     /// the **platform-wide** ρ cap (spares feed the global tree): the pool
-    /// is the budget-length prefix of the site's list with used nodes
-    /// skipped, so a site's list is read only that deep. Spares are
-    /// consumed strongest-first under strict improvement, so a budget
-    /// past the saturation point changes nothing; it only stops a
-    /// million-node site from materializing a million-entry pool.
-    /// `wapp_cap` should be the **largest** demanded service's, which
-    /// maximizes the budget. With coarsening off the pool is every unused
-    /// node of the list.
+    /// is the first budget-many unused entries of the site's ranking, and
+    /// both the budget and the pool read the ranking lazily, so it sorts
+    /// only that deep. Spares are consumed strongest-first under strict
+    /// improvement, so a budget past the saturation point changes
+    /// nothing; it only stops a million-node site from sorting and
+    /// materializing a million-entry pool. `wapp_cap` should be the
+    /// **largest** demanded service's, which maximizes the budget. With
+    /// coarsening off the pool is every unused node of the ranking; phase
+    /// 1 has then sorted every site it swept whole, in one plain sort, and
+    /// the sites it skipped are too small to seat a sweep.
     ///
-    /// [`site_lists`]: SweepPlanner::site_lists
+    /// [`per_site_sweeps`]: SweepPlanner::per_site_sweeps
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn extend_across_sites(
         &self,
         params: &ModelParams,
         platform: &Platform,
-        lists: &[Vec<NodeId>],
+        rankings: &mut [NodeRanking],
         eval: &mut IncrementalEval,
         root: Slot,
         candidates: &[usize],
@@ -650,22 +672,22 @@ impl SweepPlanner {
     ) {
         debug_assert!(eval.is_site_aware());
         debug_assert_eq!(eval.pending_deltas(), 0, "grow from a committed state");
-        let largest_site = lists.iter().map(Vec::len).max().unwrap_or(0);
-        // Each list opens with its site's strongest node.
+        let largest_site = rankings.iter().map(NodeRanking::len).max().unwrap_or(0);
+        // Each ranking opens with its site's strongest node.
         let strongest = self.coarsen_active(largest_site).then(|| {
-            lists
-                .iter()
-                .filter_map(|list| list.first())
-                .map(|&id| platform.power(id).value())
+            rankings
+                .iter_mut()
+                .filter_map(|ranking| ranking.get(0))
+                .map(|id| platform.power(id).value())
                 .fold(0.0f64, f64::max)
         });
         // Strongest-first spare nodes per site.
+        let unused = |id: &NodeId| !eval.uses_node(*id);
         let mut spare: Vec<Vec<NodeId>> = platform
             .sites()
             .iter()
-            .zip(lists)
-            .map(|(s, list)| {
-                let unused = || list.iter().copied().filter(|&id| !eval.uses_node(id));
+            .zip(rankings.iter_mut())
+            .map(|(s, ranking)| {
                 let keep = strongest.map_or(usize::MAX, |strongest| {
                     // Budget under the site's intra bandwidth (a spare
                     // attaches to a site-local mid), against the ρ cap the
@@ -675,10 +697,13 @@ impl SweepPlanner {
                         ..*params
                     };
                     let cap = rho_cap_of(&site_params, strongest);
-                    let powers = unused().map(|id| platform.power(id).value());
+                    let powers = ranking
+                        .iter()
+                        .filter(unused)
+                        .map(|id| platform.power(id).value());
                     saturation_budget(&site_params, cap, powers, wapp_cap)
                 });
-                let mut v: Vec<NodeId> = unused().take(keep).collect();
+                let mut v: Vec<NodeId> = ranking.iter().filter(unused).take(keep).collect();
                 v.reverse(); // pop() takes the strongest
                 v
             })

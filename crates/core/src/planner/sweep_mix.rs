@@ -898,8 +898,7 @@ impl SweepPlanner {
         if params.uses_link_bandwidths(platform) {
             return self.best_mix_plan_multi_site(platform, mix, objective, &params, &candidates);
         }
-        let nodes = platform.ids_by_power_desc();
-        let nodes = self.coarsen_nodes(&params, platform, &nodes, mix_wapp_cap(mix, &candidates));
+        let nodes = self.flat_nodes(&params, platform, mix_wapp_cap(mix, &candidates));
         let warm = self.mix_warm_seed(&params, platform, mix, objective);
         let warm_obj = warm.as_ref().map_or(f64::NEG_INFINITY, |&(_, _, o)| o);
         let mut stats = SweepStats::default();
@@ -909,7 +908,7 @@ impl SweepPlanner {
             mix,
             objective,
             &candidates,
-            nodes,
+            &nodes,
             warm_obj,
             &mut stats,
         );
@@ -1188,11 +1187,9 @@ impl SweepPlanner {
     ) -> Result<(MixPlan, SweepStats), PlannerError> {
         let warm = self.mix_warm_seed(params, platform, mix, objective);
         let wapp_cap = mix_wapp_cap(mix, candidates);
-        let lists = self.site_lists(platform);
-        let per_site = self.per_site_sweeps(
+        let (mut rankings, per_site) = self.per_site_sweeps(
             platform,
             params,
-            &lists,
             candidates.len() + 1,
             wapp_cap,
             |inner, site_params, nodes| {
@@ -1230,8 +1227,7 @@ impl SweepPlanner {
         let Some((seed_plan, seed_asg, _)) = best else {
             // No site seats the whole mix: sweep the scalarized family
             // and re-score per-link.
-            let nodes = platform.ids_by_power_desc();
-            let nodes = self.coarsen_nodes(params, platform, &nodes, wapp_cap);
+            let nodes = self.flat_nodes(params, platform, wapp_cap);
             let scalar = ModelParams {
                 site_aware: false,
                 ..*params
@@ -1242,7 +1238,7 @@ impl SweepPlanner {
                 mix,
                 objective,
                 candidates,
-                nodes,
+                &nodes,
                 f64::NEG_INFINITY,
                 &mut stats,
             );
@@ -1269,7 +1265,7 @@ impl SweepPlanner {
         self.extend_across_sites(
             params,
             platform,
-            &lists,
+            &mut rankings,
             &mut eval,
             seed_plan.root(),
             candidates,
@@ -1299,9 +1295,8 @@ impl SweepPlanner {
     ) -> Option<f64> {
         let candidates: Vec<usize> = (0..mix.len()).filter(|&j| mix.share(j) > 0.0).collect();
         let params = resolve_params(self.params, platform);
-        let nodes = platform.ids_by_power_desc();
-        let nodes = self.coarsen_nodes(&params, platform, &nodes, mix_wapp_cap(mix, &candidates));
-        let ctx = self.make_mix_ctx(&params, platform, mix, objective, &candidates, nodes);
+        let nodes = self.flat_nodes(&params, platform, mix_wapp_cap(mix, &candidates));
+        let ctx = self.make_mix_ctx(&params, platform, mix, objective, &candidates, &nodes);
         let n = nodes.len();
         let workers = self.worker_count(n, n - 1);
         let mut stats = SweepStats::default();

@@ -14,7 +14,8 @@
 //! * resource and site descriptions ([`resource`]);
 //! * the network model ([`network`]), homogeneous as in the paper plus a
 //!   per-link extension corresponding to the paper's *future work* section;
-//! * the aggregate [`platform::Platform`] type;
+//! * the aggregate [`platform::Platform`] type, and the lazily sorted
+//!   strongest-first [`ranking::NodeRanking`] the planners read;
 //! * synthetic platform generators ([`generator`]) that stand in for the
 //!   Grid'5000 Lyon and Orsay clusters used in the paper, including the
 //!   paper's methodology of *heterogenizing* a homogeneous cluster by adding
@@ -35,6 +36,7 @@ pub mod error;
 pub mod generator;
 pub mod network;
 pub mod platform;
+pub mod ranking;
 pub mod resource;
 pub mod units;
 
@@ -43,5 +45,6 @@ pub use error::PlatformError;
 pub use generator::BackgroundLoad;
 pub use network::Network;
 pub use platform::Platform;
+pub use ranking::NodeRanking;
 pub use resource::{NodeId, Resource, Site, SiteId};
 pub use units::{Mbit, MbitRate, Mflop, MflopRate, Seconds};

@@ -2,6 +2,7 @@
 
 use crate::error::PlatformError;
 use crate::network::Network;
+use crate::ranking::{self, NodeRanking};
 use crate::resource::{NodeId, Resource, Site, SiteId};
 use crate::units::{MbitRate, MflopRate};
 use std::collections::hash_map::{Entry, HashMap};
@@ -200,25 +201,41 @@ impl Platform {
     }
 
     /// Sorts node ids strongest first: descending computing power, ties
-    /// to the lower id. The one strongest-first order of the planners.
+    /// to the lower id. The one strongest-first order of the planners;
+    /// [`rank_by_power`](Platform::rank_by_power) gives the same order
+    /// sorted lazily.
     ///
     /// Powers are positive and finite, so their IEEE-754 bit patterns
     /// order like the values; sorting `(bits, id)` integer pairs instead
     /// of calling `power()` per comparison keeps this O(n log n) with
-    /// branch-light comparisons — it is the first step of every planner
-    /// at n = 10⁵–10⁶.
+    /// branch-light comparisons.
     ///
     /// # Panics
     /// Panics on an id this platform did not hand out.
     pub fn sort_by_power_desc(&self, ids: &mut [NodeId]) {
-        let mut keyed: Vec<(u64, NodeId)> = ids
-            .iter()
-            .map(|&id| (self.power(id).value().to_bits(), id))
-            .collect();
-        keyed.sort_unstable_by_key(|&(bits, id)| (std::cmp::Reverse(bits), id));
+        let mut keyed: Vec<(u64, NodeId)> = ids.iter().map(|&id| self.power_key(id)).collect();
+        keyed.sort_unstable_by_key(ranking::rank);
         for (slot, (_, id)) in ids.iter_mut().zip(keyed) {
             *slot = id;
         }
+    }
+
+    /// The ids ranked strongest first, in
+    /// [`sort_by_power_desc`](Platform::sort_by_power_desc)'s order,
+    /// sorted only as deep as the ranking is read. A planner that reads
+    /// the head of a 10⁶-node order pays one selection pass and a sort of
+    /// the head, not a sort of the whole catalog.
+    ///
+    /// # Panics
+    /// Panics on an id this platform did not hand out.
+    pub fn rank_by_power(&self, ids: impl IntoIterator<Item = NodeId>) -> NodeRanking {
+        NodeRanking::new(ids.into_iter().map(|id| self.power_key(id)).collect())
+    }
+
+    /// The strongest-first key of a node: its power's bit pattern, which
+    /// orders like the power.
+    fn power_key(&self, id: NodeId) -> (u64, NodeId) {
+        (self.power(id).value().to_bits(), id)
     }
 
     /// Total computing power of the platform (Σ w_i).

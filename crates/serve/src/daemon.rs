@@ -667,4 +667,55 @@ mod tests {
         daemon.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// Two weights of `1e308` are each finite but sum to infinity. Before
+    /// the mix rescaled them, every share came out 0: the stateless `plan`
+    /// and the `register` both panicked in the planner, the client saw a
+    /// dropped connection, and the register left its tenant id reserved.
+    #[test]
+    fn mix_weights_summing_past_f64_max_plan_like_equal_weights() {
+        use crate::wire::ServiceDef;
+        let dir = std::env::temp_dir().join(format!("adept-daemon-huge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = Daemon::start(ServeConfig::new(
+            "127.0.0.1:0",
+            dir.clone(),
+            vec![("lyon20".into(), lyon_cluster(20))],
+        ))
+        .expect("daemon starts");
+        let services = |weight: f64| -> Vec<ServiceDef> {
+            [("small", 59.6), ("large", 1000.0)]
+                .into_iter()
+                .map(|(name, wapp_mflop)| ServiceDef {
+                    name: name.into(),
+                    wapp_mflop,
+                    weight,
+                })
+                .collect()
+        };
+        let mut client = ServeClient::connect(daemon.addr()).expect("daemon is listening");
+        // The huge weights first, so they plan cold rather than hit the
+        // equal weights' cache entry.
+        let (huge, huge_objective) = client
+            .plan("lyon20", &services(1e308), Some(&[0.0, 0.0]))
+            .expect("huge weights plan");
+        let (equal, equal_objective) = client
+            .plan("lyon20", &services(1.0), Some(&[0.0, 0.0]))
+            .expect("equal weights plan");
+        assert_eq!(huge, equal);
+        assert_eq!(huge_objective.to_bits(), equal_objective.to_bits());
+        let status = client
+            .register(
+                "huge",
+                "lyon20",
+                &services(1e308),
+                &[0.0, 0.0],
+                &SessionConfig::default(),
+            )
+            .expect("huge weights register");
+        assert_eq!(status.plan, equal);
+        drop(client);
+        daemon.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

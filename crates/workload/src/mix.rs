@@ -64,10 +64,17 @@ pub struct ServiceMix {
 
 impl ServiceMix {
     /// Builds a mix from `(service, weight)` pairs; weights are
-    /// normalized to shares. A **zero** weight keeps the service in the
-    /// mix with no request share — the degenerate "installed but idle"
-    /// service a demand forecast can produce; planners give it no
-    /// servers and it never binds the mix throughput.
+    /// normalized to shares, each weight divided by their sum. A **zero**
+    /// weight keeps the service in the mix with no request share — the
+    /// degenerate "installed but idle" service a demand forecast can
+    /// produce; planners give it no servers and it never binds the mix
+    /// throughput.
+    ///
+    /// Finite weights can sum past `f64::MAX` (two weights of `1e308`),
+    /// and dividing by that infinite sum would zero every share. Such
+    /// weights are divided by the largest of them first, so
+    /// `[1e308, 1e308]` gives the shares of `[1, 1]`; a finite sum keeps
+    /// the plain division.
     ///
     /// # Panics
     /// Panics on an empty list, negative or non-finite weights, or an
@@ -79,7 +86,16 @@ impl ServiceMix {
             entries.iter().all(|(_, w)| w.is_finite() && *w >= 0.0) && total > 0.0,
             "mix weights must be non-negative and finite, with a positive total"
         );
-        let (services, shares) = entries.into_iter().map(|(s, w)| (s, w / total)).unzip();
+        let (services, shares) = if total.is_finite() {
+            entries.into_iter().map(|(s, w)| (s, w / total)).unzip()
+        } else {
+            let largest = entries.iter().map(|(_, w)| *w).fold(0.0, f64::max);
+            let total: f64 = entries.iter().map(|(_, w)| w / largest).sum();
+            entries
+                .into_iter()
+                .map(|(s, w)| (s, w / largest / total))
+                .unzip()
+        };
         Self { services, shares }
     }
 
@@ -273,6 +289,22 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert!((m.share(0) - 0.75).abs() < 1e-12);
         assert!((m.share(1) - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn weights_summing_past_f64_max_normalize_like_equal_weights() {
+        let shares = |weights: &[f64]| -> Vec<u64> {
+            let m = ServiceMix::new(
+                weights
+                    .iter()
+                    .map(|&w| (Dgemm::new(100).service(), w))
+                    .collect(),
+            );
+            (0..m.len()).map(|i| m.share(i).to_bits()).collect()
+        };
+        assert_eq!(shares(&[1e308, 1e308]), shares(&[1.0, 1.0]));
+        assert_eq!(shares(&[f64::MAX; 3]), shares(&[1.0; 3]));
+        assert_eq!(shares(&[f64::MAX, 0.0]), shares(&[1.0, 0.0]));
     }
 
     #[test]
