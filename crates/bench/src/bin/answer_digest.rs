@@ -13,7 +13,10 @@
 //! both objectives, `best_mix_plan_stats` and `replan`/`replan_mix`, on
 //! homogeneous, heterogenized and uniform-random clusters, 2–4-site grids
 //! up to 4 × 6,000 nodes, a grid whose sites hold one node each, and the
-//! 4 × 250,000-node grid of the benchmark's pipeline.
+//! 4 × 250,000-node grid of the benchmark's pipeline. Sweep-only lines
+//! cover inputs on which the sweep's agent-count loop stops at its tail
+//! bound in each regime: a 6,000-node single-site list at DGEMM 10, 310
+//! and 1000, `lyon_cluster(1000)` and a latency override.
 //!
 //! ```text
 //! cargo run --release -p adept-bench --bin answer_digest > answers.txt
@@ -157,16 +160,7 @@ fn single_service(
         let capped = HeuristicPlanner::paper().plan(platform, &svc, ClientDemand::target(half))?;
         let r = rho(platform, &capped, &svc);
         line(out, &format!("{case} heuristic target/2"), r, &capped, "");
-        for threads in [1usize, 3] {
-            let (plan, r) = SweepPlanner::with_threads(threads).best_plan(platform, &svc)?;
-            line(
-                out,
-                &format!("{case} sweep threads={threads}"),
-                r,
-                &plan,
-                "",
-            );
-        }
+        sweeps(out, &case, platform, &svc, None)?;
         let replan = OnlinePlanner::default().replan(
             platform,
             &paper,
@@ -174,6 +168,32 @@ fn single_service(
             ClientDemand::target(2.0 * half),
         );
         line(out, &format!("{case} replan"), replan.rho, &replan.plan, "");
+    }
+    Ok(())
+}
+
+/// The sweep's answer with 1 and 3 threads, under `params` when given
+/// and the platform's own parameters otherwise.
+fn sweeps(
+    out: &mut String,
+    case: &str,
+    platform: &Platform,
+    svc: &ServiceSpec,
+    params: Option<ModelParams>,
+) -> Res {
+    for threads in [1usize, 3] {
+        let planner = SweepPlanner {
+            params,
+            ..SweepPlanner::with_threads(threads)
+        };
+        let (plan, r) = planner.best_plan(platform, svc)?;
+        line(
+            out,
+            &format!("{case} sweep threads={threads}"),
+            r,
+            &plan,
+            "",
+        );
     }
     Ok(())
 }
@@ -285,6 +305,42 @@ fn main() -> Res {
             .filter(|(_, m)| platform.node_count() > m.len())
             .collect();
         mixes(&mut out, name, platform, &fits, true)?;
+    }
+
+    // Sweeps whose agent-count loop stops at its tail bound in each
+    // regime: a single-site list past the coarsening threshold at DGEMM
+    // 10, 310 and 1000, the 1,000-node homogeneous cluster, and a latency
+    // override; each sequential and threaded.
+    let uniform_big = uniform_random_cluster("u", 6_000, MflopRate(50.0), MflopRate(800.0), 17);
+    for size in [10, 310, 1000] {
+        let svc = Dgemm::new(size).service();
+        sweeps(
+            &mut out,
+            &format!("uniform-6000 dgemm-{size}"),
+            &uniform_big,
+            &svc,
+            None,
+        )?;
+    }
+    let svc = Dgemm::new(310).service();
+    sweeps(
+        &mut out,
+        "lyon-1000 dgemm-310",
+        &lyon_cluster(1000),
+        &svc,
+        None,
+    )?;
+    let (_, uniform) = &small[2];
+    let latency = ModelParams::from_platform(uniform).with_latency(Seconds(1e-4));
+    for size in sizes {
+        let case = format!("uniform-200 latency=1e-4 dgemm-{size}");
+        sweeps(
+            &mut out,
+            &case,
+            uniform,
+            &Dgemm::new(size).service(),
+            Some(latency),
+        )?;
     }
 
     // Coarsened lists: a flat cluster past the coarsening threshold, and

@@ -13,6 +13,9 @@
 //! the incremental engine and the planners already keep) and evaluate
 //! the identical per-element operation sequence in a straight-line loop
 //! the compiler unrolls and auto-vectorizes (4/8-wide on AVX targets).
+//! Where the caller builds its own array in a pass over the catalog,
+//! [`sch_pow_shared_degree`] gives the per-element function instead, its
+//! loop-invariant terms hoisted once, so no lane is materialized.
 //!
 //! Two contracts every batched kernel upholds:
 //!
@@ -89,28 +92,20 @@ pub fn server_prediction_cycles_into(params: &ModelParams, powers: &[f64], out: 
     }));
 }
 
-/// Batched [`sch_pow`](super::throughput::sch_pow) at one **shared**
-/// degree — the planner-setup pattern (`ranked_nodes` keys every node at
-/// `d = n − 1`). `out[i] = 1 / agent_cycle(powers[i], degree)`,
-/// bit-exact with the scalar kernel.
-pub fn sch_pow_shared_degree_into(
-    params: &ModelParams,
-    powers: &[f64],
-    degree: usize,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    out.reserve(powers.len());
+/// [`sch_pow`](super::throughput::sch_pow) at one **shared** degree, as a
+/// per-node function — the planner-setup pattern (`ranked_nodes` keys
+/// every node at `d = n − 1` in the pass that builds its ranking). The
+/// degree-dependent terms are hoisted once; each call is one division
+/// chain, `1 / agent_cycle(w, degree)`, bit-exact with the scalar kernel.
+pub fn sch_pow_shared_degree(params: &ModelParams, degree: usize) -> impl Fn(f64) -> f64 {
     let a = &params.calibration.agent;
     let d = degree as f64;
     let b = params.bandwidth.value();
     let lat = params.latency.value();
-    // Degree-dependent terms are loop-invariant here; the per-element
-    // work is one division chain, which vectorizes to `vdivpd`.
     let recv = (a.sreq.value() + a.srep.value() * d) / b + lat * (1.0 + d);
     let send = (a.sreq.value() * d + a.srep.value()) / b + lat * (1.0 + d);
     let wnum = a.wreq.value() + (a.wfix.value() + a.wsel.value() * d);
-    out.extend(powers.iter().map(|&w| 1.0 / (recv + send + wnum / w)));
+    move |w| 1.0 / (recv + send + wnum / w)
 }
 
 /// Batched prediction **rates** `1 / server_prediction_cycle(powers[i])`
@@ -250,14 +245,14 @@ mod tests {
 
     #[test]
     fn shared_degree_sch_pow_bit_exact_vs_scalar() {
-        let p = params();
         let w = powers(777, 3);
-        let mut out = Vec::new();
-        for degree in [0usize, 1, 9, 99_999] {
-            sch_pow_shared_degree_into(&p, &w, degree, &mut out);
-            for i in 0..w.len() {
-                let reference = sch_pow(&p, MflopRate(w[i]), degree);
-                assert_eq!(out[i].to_bits(), reference.to_bits(), "d={degree} lane {i}");
+        for p in [params(), params().with_latency(Seconds(3e-4))] {
+            for degree in [0usize, 1, 9, 99_999] {
+                let at = sch_pow_shared_degree(&p, degree);
+                for (i, &wi) in w.iter().enumerate() {
+                    let reference = sch_pow(&p, MflopRate(wi), degree);
+                    assert_eq!(at(wi).to_bits(), reference.to_bits(), "d={degree} node {i}");
+                }
             }
         }
     }

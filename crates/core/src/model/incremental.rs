@@ -135,6 +135,7 @@ use adept_hierarchy::{DeploymentPlan, PlanError, Role, Slot};
 use adept_platform::{Mbit, MflopRate, NodeId, Platform, SiteId};
 use adept_workload::{ServiceMix, ServiceSpec};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Tournament (segment) tree over per-slot cycle times: O(1) max query,
 /// O(log n) point update. Ties resolve to the lower slot index, matching
@@ -254,8 +255,9 @@ struct SiteModel {
     /// Client site index for root parent links; `None` = each root's own
     /// site.
     client_site: Option<usize>,
-    /// `NodeId` index → site index.
-    node_site: Vec<usize>,
+    /// `NodeId` index → site: the platform's shared
+    /// [`site_table`](Platform::site_table), filled once per catalog.
+    node_site: Arc<[SiteId]>,
 }
 
 impl SiteModel {
@@ -288,7 +290,7 @@ impl SiteModel {
             server_link: link_table(srv.sreq, srv.srep),
             service_transfer,
             client_site,
-            node_site: platform.nodes().iter().map(|r| r.site.index()).collect(),
+            node_site: Arc::clone(platform.site_table()),
         }))
     }
 
@@ -639,7 +641,7 @@ impl IncrementalEval {
         let site = self
             .site
             .as_deref()
-            .map(|sm| sm.node_site[node.index()])
+            .map(|sm| sm.node_site[node.index()].index())
             .unwrap_or(0);
         self.nodes.push(node);
         self.powers.push(power);
@@ -853,7 +855,7 @@ impl IncrementalEval {
             return Err(PlanError::NodeAlreadyUsed(node));
         }
         let site_info = self.site.as_deref().map(|sm| {
-            let site = sm.node_site[node.index()];
+            let site = sm.node_site[node.index()].index();
             (site, sm.agent_link(self.sites[p], site))
         });
         let mut saved = self.saved();

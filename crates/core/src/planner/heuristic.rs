@@ -6,8 +6,9 @@
 //! 1. **Sort** (steps 1–2): every node is scored as an agent with
 //!    `n_nodes − 1` children (`calc_sch_pow`) and nodes are ranked
 //!    descending (`sort_nodes`). The head of the ranking becomes the
-//!    root. The ranking sorts lazily, only as deep as growth reads it
-//!    ([`NodeRanking`]), in exactly the full sort's order.
+//!    root. One pass over the catalog scores each node and builds the
+//!    ranking's entry for it. The ranking sorts lazily, only as deep as
+//!    growth reads it ([`NodeRanking`]), in exactly the full sort's order.
 //! 2. **Degenerate case** (steps 3–7): if the root's scheduling power with
 //!    a *single* child is already below `min(service power of one server,
 //!    client demand)` — `min_ser_cv` — the deployment is one agent and one
@@ -136,24 +137,22 @@ impl HeuristicPlanner {
     }
 
     /// Steps 1–2: every node ranked by `calc_sch_pow` with `n_nodes − 1`
-    /// children, descending, ties to the lower node id. The scores are
-    /// computed once, batched over the flat power lane
-    /// ([`batch::sch_pow_shared_degree_into`]) — the shared degree makes
-    /// the per-node work one vectorized division — and keyed as integers
-    /// ([`batch::descending_key`]). The ranking sorts lazily: the growth
-    /// loop reads only its head (105 of 10⁶ nodes on the 4 × 250,000
-    /// grid), so it pays one selection pass and a sort of the head, and
-    /// every prefix equals [`batch::sort_rate_desc_id_asc`]'s order.
+    /// children, descending, ties to the lower node id. One pass over the
+    /// catalog keys each node ([`batch::sch_pow_shared_degree`], the
+    /// shared degree's terms hoisted once) as an integer
+    /// ([`batch::descending_key`]) and builds the ranking's entries, with
+    /// no array beside them. The ranking sorts lazily: the growth loop
+    /// reads only its head (105 of 10⁶ nodes on the 4 × 250,000 grid), so
+    /// it pays one selection pass and a sort of the head, and every
+    /// prefix equals [`batch::sort_rate_desc_id_asc`]'s order.
     pub(crate) fn ranked_nodes(params: &ModelParams, platform: &Platform) -> NodeRanking {
         let d = platform.node_count().saturating_sub(1).max(1);
-        let powers: Vec<f64> = platform.nodes().iter().map(|r| r.power.value()).collect();
-        let mut rates = Vec::new();
-        batch::sch_pow_shared_degree_into(params, &powers, d, &mut rates);
+        let sch_pow = batch::sch_pow_shared_degree(params, d);
         NodeRanking::new(
-            rates
-                .into_iter()
-                .zip(platform.nodes())
-                .map(|(rate, r)| (batch::descending_key(rate), r.id))
+            platform
+                .nodes()
+                .iter()
+                .map(|r| (batch::descending_key(sch_pow(r.power.value())), r.id))
                 .collect(),
         )
     }
@@ -238,13 +237,10 @@ mod tests {
     /// [`HeuristicPlanner::ranked_nodes`] reads lazily.
     fn sorted_nodes(params: &ModelParams, platform: &Platform) -> Vec<NodeId> {
         let d = platform.node_count().saturating_sub(1).max(1);
-        let powers: Vec<f64> = platform.nodes().iter().map(|r| r.power.value()).collect();
-        let mut rates = Vec::new();
-        batch::sch_pow_shared_degree_into(params, &powers, d, &mut rates);
-        let mut keyed: Vec<(f64, NodeId)> = rates
-            .into_iter()
-            .zip(platform.nodes())
-            .map(|(rate, r)| (rate, r.id))
+        let mut keyed: Vec<(f64, NodeId)> = platform
+            .nodes()
+            .iter()
+            .map(|r| (sch_pow(params, r.power, d), r.id))
             .collect();
         batch::sort_rate_desc_id_asc(&mut keyed);
         keyed.into_iter().map(|(_, id)| id).collect()

@@ -13,17 +13,52 @@
 //!
 //! The inner loop is incremental: adding the `s`-th server assigns one more
 //! child slot (heap-based waterfill step, `O(log k)`) and updates the
-//! service-power running sums in `O(1)`, so the whole sweep costs
-//! `O(n² log n)` model evaluations' worth of work — fast enough for the
-//! 200-node Grid'5000 scenarios.
+//! service-power running sums in `O(1)`, so one agent count costs
+//! `O(n log n)`.
 //!
-//! The outer `k`-loop's iterations are fully independent, so on large
-//! platforms they are distributed over worker threads by
-//! [`par_claim`](crate::par_claim), which returns the per-`k` winners in
+//! **The tail bound: an exact early exit.** The outer `k`-loop scans
+//! agent counts in chunks and stops once no larger `k` can win. After a
+//! chunk, with `k₀` the next agent count, it computes
+//!
+//! ```text
+//! TB(k₀) = max over s of min(pred[k₀+s−1], service(k₀, s), S(s))
+//! S(1)   = sch_pow(powers[k₀−1], 1)
+//! S(s≥2) = min(S(1), sch_pow(powers[0], 2))
+//! ```
+//!
+//! where `pred` is the Eq. 14 server bound of the weakest server and
+//! `service(k₀, s)` the Eq. 15 rate of servers `powers[k₀..k₀+s]`,
+//! summed exactly as the scan sums it, and stops when
+//! `TB(k₀) ≤ best ρ + TIE_EPS`. The exit is exact. Take any `k′ ≥ k₀`
+//! and any `s` the scan scores, i.e. with no childless agent:
+//!
+//! 1. The servers `powers[k′..k′+s]` are pointwise no stronger than
+//!    `powers[k₀..k₀+s]`, since the list descends. The scan sums them
+//!    with the same operations in the same order, and IEEE-rounded add,
+//!    divide and reciprocal are monotone, so its Eq. 15 rate and its
+//!    Eq. 14 prediction bound are at most `k₀`'s.
+//! 2. The weakest agent, `powers[k′−1] ≤ powers[k₀−1]`, has at least one
+//!    child, so the scan's minimum scheduling power is at most `S(1)`.
+//! 3. When `s ≥ 2`, the `k′` agents hold `k′ − 1 + s > k′` children, so
+//!    some agent holds a second child, and the minimum is at most
+//!    `sch_pow(powers[0], 2)`. `agent_cycle` is built from sums,
+//!    products and quotients of non-negative terms, so `sch_pow` falls
+//!    with degree and rises with power in floating point too.
+//!
+//! So every later candidate's ρ is at most `TB(k₀)` and fails the
+//! strict-improvement test, and the winner is the full loop's, bit for
+//! bit. A check costs `O(n − k₀)` flops and no heap work. On the 988-node
+//! site lists of the 4 × 250,000 grid (DGEMM 310) the winner is
+//! `k = 194` and the cut fires at `k₀ = 225`: 224 of 987 agent counts
+//! are scanned.
+//!
+//! A chunk's agent counts are independent, so on large platforms they
+//! are distributed over worker threads by [`par_claim`](crate::par_claim)
+//! (one round per chunk), which returns the per-`k` winners in
 //! ascending-`k` order; they merge with the same strict-improvement rule
-//! either way, so the parallel sweep selects the same configuration and
-//! returns the same ρ as the sequential one. Set
-//! [`SweepPlanner::threads`] to `Some(1)` (as
+//! either way, and the bound is checked between chunks, so the parallel
+//! sweep selects the same configuration and returns the same ρ as the
+//! sequential one. Set [`SweepPlanner::threads`] to `Some(1)` (as
 //! [`SweepPlanner::sequential`] does) to force the sequential path.
 //!
 //! This is the strongest polynomial-time reference we can compute and
@@ -84,7 +119,7 @@ use super::{resolve_params, Planner, PlannerError};
 use crate::model::throughput::{sch_pow, service_rate_from_sums};
 use crate::model::{batch, comm, IncrementalEval, ModelParams};
 use adept_hierarchy::{DeploymentPlan, Slot};
-use adept_platform::{NodeId, NodeRanking, Platform};
+use adept_platform::{MflopRate, NodeId, NodeRanking, Platform};
 use adept_workload::{ClientDemand, ServiceMix, ServiceSpec};
 
 /// Strict-improvement resolution of the sweep: ties within this margin
@@ -92,7 +127,7 @@ use adept_workload::{ClientDemand, ServiceMix, ServiceSpec};
 pub(crate) const TIE_EPS: f64 = 1e-12;
 
 /// Below this node count the sweep stays sequential — thread spawn
-/// overhead would dominate the O(n² log n) scan. Measured on the bench
+/// overhead would dominate the agent-count scan. Measured on the bench
 /// host via [`SweepPlanner::with_threads`]: under ~64 nodes a scan_k
 /// finishes faster than a worker spawn+join round trip.
 pub(crate) const PARALLEL_THRESHOLD: usize = 64;
@@ -310,7 +345,7 @@ struct KBest {
 
 /// Model scalars the scan needs, precomputed once per node list and
 /// shared by every per-`k` scan (and every worker thread).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct ScanCtx<'a> {
     params: &'a ModelParams,
     powers: &'a [f64],
@@ -319,15 +354,40 @@ struct ScanCtx<'a> {
     /// server bound of a server prefix is the **last** (weakest) entry —
     /// the per-step running min becomes one array lookup, and the O(n²)
     /// scalar kernel calls across the k-sweep collapse to O(n).
-    pred_rates: &'a [f64],
+    pred_rates: Vec<f64>,
     wpre: f64,
     wapp: f64,
     transfer: f64,
 }
 
-/// Scans all server counts for a fixed agent count `k`, returning the
-/// locally best `(servers, rho)` under the sweep's strict-improvement
-/// rule. Fully independent of every other `k`.
+impl<'a> ScanCtx<'a> {
+    /// The scan context of the power-descending list `powers` for a
+    /// service of per-request work `wapp`.
+    fn new(params: &'a ModelParams, powers: &'a [f64], wapp: f64) -> Self {
+        let mut pred_rates = Vec::new();
+        batch::prediction_rates_into(params, powers, &mut pred_rates);
+        Self {
+            params,
+            powers,
+            pred_rates,
+            wpre: params.calibration.server.wpre.value(),
+            wapp,
+            transfer: comm::service_transfer_time(params).value(),
+        }
+    }
+}
+
+/// Agent counts the k-loop of [`SweepPlanner::best_over_nodes`] scans
+/// per worker between two [`tail_bound`] checks. A threaded chunk costs
+/// one spawn round, so a larger chunk spawns less often but can scan
+/// further past the winner.
+const K_CHUNK: usize = 32;
+
+/// Scans the server counts for a fixed agent count `k` (growing `s` until
+/// ρ falls past its peak), returning the locally best `(servers, rho)`
+/// under the sweep's strict-improvement rule. Fully independent of every
+/// other `k`; `O(n log n)`. [`tail_bound`] bounds what it can score at
+/// every larger `k`.
 fn scan_k(ctx: &ScanCtx<'_>, n: usize, k: usize) -> Option<KBest> {
     let mut waterfill = Waterfill::new(ctx.params, &ctx.powers[..k]);
     let mut min_sp = f64::INFINITY;
@@ -374,17 +434,59 @@ fn scan_k(ctx: &ScanCtx<'_>, n: usize, k: usize) -> Option<KBest> {
     best
 }
 
-/// Folds per-`k` winners in ascending `k` with the sweep's acceptance
-/// rule — the same chain the sequential loop walks.
-fn merge_in_k_order(candidates: impl IntoIterator<Item = KBest>) -> Option<KBest> {
-    let mut best: Option<KBest> = None;
+/// Folds per-`k` winners, in ascending `k`, into the running winner
+/// `best` with the sweep's acceptance rule — the same chain the
+/// sequential loop walks.
+fn merge_in_k_order(
+    mut best: Option<KBest>,
+    candidates: impl IntoIterator<Item = KBest>,
+) -> Option<KBest> {
     for cand in candidates {
-        let better = match &best {
-            None => true,
-            Some(cur) => cand.rho > cur.rho + TIE_EPS,
-        };
-        if better {
+        if best.is_none_or(|cur| cand.rho > cur.rho + TIE_EPS) {
             best = Some(cand);
+        }
+    }
+    best
+}
+
+/// An upper bound on every ρ that [`scan_k`] scores at any agent count
+/// `k ≥ k0`: `TB(k₀)` of the module docs, which prove it. `O(n − k0)`.
+fn tail_bound(ctx: &ScanCtx<'_>, n: usize, k0: usize) -> f64 {
+    // S(1): the weakest agent holds at least one child.
+    let one_child = sch_pow(ctx.params, MflopRate(ctx.powers[k0 - 1]), 1);
+    // S(s ≥ 2): and some agent, no stronger than the root, holds two.
+    let two_children = one_child.min(sch_pow(ctx.params, MflopRate(ctx.powers[0]), 2));
+    let mut numerator = 1.0;
+    let mut denominator = 0.0;
+    let mut bound = f64::NEG_INFINITY;
+    for s in 1..=(n - k0) {
+        let i = k0 + s - 1;
+        numerator += ctx.wpre / ctx.wapp;
+        denominator += ctx.powers[i] / ctx.wapp;
+        let service_pow = service_rate_from_sums(ctx.transfer, numerator, denominator);
+        let sched = if s == 1 { one_child } else { two_children };
+        bound = bound.max(sched.min(ctx.pred_rates[i]).min(service_pow));
+    }
+    bound
+}
+
+/// The agent-count loop: scans `k = 1, 2, …` in chunks of [`K_CHUNK`]
+/// per worker, folds each chunk into the running winner, and stops once
+/// the [`tail_bound`] of the next `k` cannot beat it. Returns the winner
+/// of the loop over every `k < n`.
+fn best_k(ctx: &ScanCtx<'_>, n: usize, workers: usize) -> Option<KBest> {
+    let chunk = K_CHUNK * workers;
+    let mut best = None;
+    let mut k0 = 1;
+    while k0 < n {
+        let end = (k0 + chunk).min(n);
+        // Claim index i scans k = k0 + i; the per-k winners come back in
+        // ascending k order whatever the worker count.
+        let per_k = crate::par_claim(workers, end - k0, |i| scan_k(ctx, n, k0 + i));
+        best = merge_in_k_order(best, per_k.into_iter().flatten());
+        k0 = end;
+        if k0 < n && best.is_some_and(|b| tail_bound(ctx, n, k0) <= b.rho + TIE_EPS) {
+            break;
         }
     }
     best
@@ -429,6 +531,9 @@ impl SweepPlanner {
     /// The uniform-network sweep core over an explicit power-descending
     /// node list (the whole platform, or one site's nodes for the
     /// multi-site family), under `params.bandwidth` as the single `B`.
+    /// Scans agent counts in chunks until the tail bound (module docs)
+    /// shows that no larger count can win, so the answer is the full
+    /// loop's while the scan often stops near the winner.
     fn best_over_nodes(
         &self,
         params: &ModelParams,
@@ -444,25 +549,11 @@ impl SweepPlanner {
             });
         }
         let powers: Vec<f64> = nodes.iter().map(|&id| platform.power(id).value()).collect();
-        let mut pred_rates = Vec::new();
-        batch::prediction_rates_into(params, &powers, &mut pred_rates);
-        let ctx = ScanCtx {
-            params,
-            powers: &powers,
-            pred_rates: &pred_rates,
-            wpre: params.calibration.server.wpre.value(),
-            wapp: service.wapp.value(),
-            transfer: comm::service_transfer_time(params).value(),
-        };
+        let ctx = ScanCtx::new(params, &powers, service.wapp.value());
 
         let workers = self.worker_count(n, n - 1);
-        // Claim index i scans k = i + 1; the per-k winners come back in
-        // ascending k order whatever the worker count.
-        let per_k = crate::par_claim(workers, n - 1, |i| scan_k(&ctx, n, i + 1));
-        let best = merge_in_k_order(per_k.into_iter().flatten());
-
-        let cfg =
-            best.ok_or_else(|| PlannerError::InvalidConfig("no feasible deployment found".into()))?;
+        let cfg = best_k(&ctx, n, workers)
+            .ok_or_else(|| PlannerError::InvalidConfig("no feasible deployment found".into()))?;
         let degrees =
             Waterfill::degrees_after(params, &powers[..cfg.agents], cfg.agents - 1 + cfg.servers);
         let plan = super::realize::realize(
@@ -859,6 +950,7 @@ mod tests {
     use adept_platform::generator::{heterogenized_cluster, lyon_cluster};
     use adept_platform::{BackgroundLoad, CapacityProbe, MflopRate};
     use adept_workload::Dgemm;
+    use proptest::prelude::*;
 
     #[test]
     fn sweep_at_least_as_good_as_csd_family() {
@@ -1174,6 +1266,142 @@ mod tests {
         let b_heavy = saturation_budget(&params, cap, powers.iter().copied(), 1e12);
         assert_eq!(b_heavy, 4 * powers.len() + 64);
         assert!(b_heavy >= powers.len(), "budget must cover the need");
+    }
+
+    /// The k-loop without the tail-bound exit: every agent count scanned
+    /// and folded with `merge_in_k_order`.
+    fn full_k_loop(ctx: &ScanCtx<'_>, n: usize) -> Option<KBest> {
+        merge_in_k_order(None, (1..n).filter_map(|k| scan_k(ctx, n, k)))
+    }
+
+    /// Every ρ the scan scores at agent count `k`, at every server count
+    /// that leaves no agent childless — `scan_k` without its stop past
+    /// the peak.
+    fn scored_rhos(ctx: &ScanCtx<'_>, n: usize, k: usize) -> Vec<f64> {
+        let mut waterfill = Waterfill::new(ctx.params, &ctx.powers[..k]);
+        let mut min_sp = f64::INFINITY;
+        for _ in 0..k - 1 {
+            min_sp = min_sp.min(waterfill.step().1);
+        }
+        let (mut numerator, mut denominator) = (1.0, 0.0);
+        let mut rhos = Vec::new();
+        for s in 1..=(n - k) {
+            min_sp = min_sp.min(waterfill.step().1);
+            numerator += ctx.wpre / ctx.wapp;
+            denominator += ctx.powers[k + s - 1] / ctx.wapp;
+            if waterfill.childless() == 0 {
+                let service_pow = service_rate_from_sums(ctx.transfer, numerator, denominator);
+                rhos.push(min_sp.min(ctx.pred_rates[k + s - 1]).min(service_pow));
+            }
+        }
+        rhos
+    }
+
+    #[test]
+    fn tail_bound_stops_the_pipeline_site_scan_after_its_winner() {
+        // Each site of the 4 × 250,000 grid sweeps its 988 strongest
+        // nodes, all of 400 MFlop/s, at 100 Mb/s.
+        let powers = [400.0; 988];
+        let params = ModelParams::new(adept_platform::MbitRate(100.0));
+        let ctx = ScanCtx::new(&params, &powers, Dgemm::new(310).service().wapp.value());
+        let key = |b: KBest| (b.agents, b.servers, b.rho.to_bits());
+        let full = full_k_loop(&ctx, 988).expect("k = 1 always scores");
+        assert_eq!((full.agents, full.servers), (194, 195));
+        for workers in [1, 3] {
+            let cut = best_k(&ctx, 988, workers).expect("k = 1 always scores");
+            assert_eq!(key(cut), key(full), "workers = {workers}");
+        }
+        // The first check past the winner fires: k0 = 1 + 7 · 32.
+        assert!(tail_bound(&ctx, 988, 225) <= full.rho + TIE_EPS);
+    }
+
+    /// List lengths around the chunk size and the pipeline grid's
+    /// 988-node site lists.
+    const TAIL_SIZES: [usize; 10] = [2, 3, 31, 32, 33, 63, 64, 65, 200, 988];
+
+    /// One tail-bound case: a power-descending list and the model it is
+    /// swept under.
+    #[derive(Debug)]
+    struct TailCase {
+        powers: Vec<f64>,
+        params: ModelParams,
+        wapp: f64,
+        workers: usize,
+    }
+
+    /// Cases whose list holds at most `max_n` nodes. `levels` picks 1–4
+    /// distinct powers (the pipeline grid has 4), or continuous powers at
+    /// 4; the latency is 0 or up to 1 ms; 1 or 3 workers.
+    fn arb_tail_case(max_n: usize) -> impl Strategy<Value = TailCase> {
+        let sizes: Vec<usize> = TAIL_SIZES.into_iter().filter(|&n| n <= max_n).collect();
+        (
+            (0..sizes.len(), 0usize..5, 0usize..5),
+            (5.0f64..1000.0, 0.0f64..2e-3),
+            (0usize..2, 0u64..1 << 40),
+        )
+            .prop_map(
+                move |((size, levels, dgemm), (bandwidth, latency), (threaded, seed))| {
+                    let mut state = seed | 1;
+                    let mut unit = || {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        (state >> 11) as f64 / (1u64 << 53) as f64
+                    };
+                    let distinct = [400.0, 310.0, 250.0, 175.0];
+                    let mut powers: Vec<f64> = (0..sizes[size])
+                        .map(|_| match levels {
+                            4 => 50.0 + 750.0 * unit(),
+                            l => distinct[(unit() * (l + 1) as f64) as usize],
+                        })
+                        .collect();
+                    powers.sort_by(|a, b| b.total_cmp(a));
+                    // Half the cases run with no latency at all.
+                    let latency = if latency < 1e-3 { 0.0 } else { latency - 1e-3 };
+                    TailCase {
+                        powers,
+                        params: ModelParams::new(adept_platform::MbitRate(bandwidth))
+                            .with_latency(adept_platform::Seconds(latency)),
+                        wapp: Dgemm::new([10, 100, 310, 1000, 2000][dgemm])
+                            .service()
+                            .wapp
+                            .value(),
+                        workers: [1, 3][threaded],
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn cut_k_loop_returns_the_full_loops_winner(c in arb_tail_case(usize::MAX)) {
+            let n = c.powers.len();
+            let ctx = ScanCtx::new(&c.params, &c.powers, c.wapp);
+            let key = |best: Option<KBest>| best.map(|b| (b.agents, b.servers, b.rho.to_bits()));
+            prop_assert_eq!(
+                key(best_k(&ctx, n, c.workers)),
+                key(full_k_loop(&ctx, n))
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn tail_bound_covers_every_later_score(c in arb_tail_case(64)) {
+            let n = c.powers.len();
+            let ctx = ScanCtx::new(&c.params, &c.powers, c.wapp);
+            // The highest ρ scored at any k ≥ k0, k0 walking down.
+            let mut later = f64::NEG_INFINITY;
+            for k0 in (1..n).rev() {
+                later = scored_rhos(&ctx, n, k0).into_iter().fold(later, f64::max);
+                let bound = tail_bound(&ctx, n, k0);
+                prop_assert!(later <= bound, "k0 = {}: scored {} above {}", k0, later, bound);
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::resource::{NodeId, Resource, Site, SiteId};
 use crate::units::{MbitRate, MflopRate};
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::BuildHasher;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A deployment target: a set of heterogeneous resources with a network
 /// model, as in the paper's Section 3.
@@ -22,11 +22,14 @@ pub struct Platform {
     /// A built platform has no mutator, so the stored value never goes
     /// stale, and a clone may carry it.
     fingerprint: OnceLock<u64>,
+    /// [`site_table`](Platform::site_table), stored by its first call on
+    /// the same terms as `fingerprint`.
+    site_table: OnceLock<Arc<[SiteId]>>,
 }
 
 /// Structural equality over nodes, sites and network. The stored
-/// fingerprint is left out, so a hashed platform equals an unhashed copy
-/// of itself.
+/// fingerprint and site table are left out, so a hashed platform equals
+/// an unhashed copy of itself.
 impl PartialEq for Platform {
     fn eq(&self, other: &Self) -> bool {
         self.nodes == other.nodes && self.sites == other.sites && self.network == other.network
@@ -122,6 +125,7 @@ impl PlatformBuilder {
             sites: self.sites,
             network: self.network,
             fingerprint: OnceLock::new(),
+            site_table: OnceLock::new(),
         })
     }
 }
@@ -269,6 +273,21 @@ impl Platform {
         *self.fingerprint.get_or_init(|| self.structural_hash())
     }
 
+    /// Every node's site, indexed by node id: entry `i` is
+    /// [`site_of`](Platform::site_of)`(NodeId(i))`. The site-aware
+    /// incremental engine looks sites up here on every delta.
+    ///
+    /// The first call fills the table (one pass over the catalog, 2 B per
+    /// node: ~4 ms at 10⁶); later calls, on this platform or a clone of
+    /// it, return the same shared allocation, so every engine built on a
+    /// catalog shares one table. A built platform has no mutator, so the
+    /// table never goes stale. Equality ignores it, as it ignores the
+    /// fingerprint.
+    pub fn site_table(&self) -> &Arc<[SiteId]> {
+        self.site_table
+            .get_or_init(|| self.nodes.iter().map(|n| n.site).collect())
+    }
+
     /// The hash behind [`fingerprint`](Platform::fingerprint).
     fn structural_hash(&self) -> u64 {
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -365,6 +384,7 @@ impl Platform {
             sites: self.sites.clone(),
             network: self.network.clone(),
             fingerprint: OnceLock::new(),
+            site_table: OnceLock::new(),
         })
     }
 }
@@ -510,6 +530,35 @@ mod tests {
         let p = b.build().unwrap();
         assert_eq!(p.nodes_on_site(s0), vec![NodeId(0), NodeId(2)]);
         assert_eq!(p.nodes_on_site(s1), vec![NodeId(1)]);
+    }
+
+    #[test]
+    fn site_table_matches_site_of_and_is_shared() {
+        let p = crate::generator::multi_site_grid(
+            3,
+            40,
+            MflopRate(400.0),
+            MbitRate(100.0),
+            MbitRate(10.0),
+            5,
+        );
+        let unfilled = p.clone();
+        let table = p.site_table();
+        assert_eq!(table.len(), p.node_count());
+        for node in p.nodes() {
+            assert_eq!(table[node.id.index()], p.site_of(node.id), "{}", node.id);
+        }
+        assert_eq!(
+            table
+                .iter()
+                .collect::<std::collections::BTreeSet<_>>()
+                .len(),
+            3,
+            "every site appears"
+        );
+        assert!(Arc::ptr_eq(table, p.site_table()), "second call");
+        assert!(Arc::ptr_eq(table, p.clone().site_table()), "clone");
+        assert!(p == unfilled, "a filled table equals an unfilled one");
     }
 
     /// Journals store these values and refuse to resume on any other, so

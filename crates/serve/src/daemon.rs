@@ -544,39 +544,68 @@ fn register(params: &Json, state: &Arc<SharedState>) -> Result<Json, ServeError>
         Some(c) => SessionConfig::from_json(c)?,
     };
 
-    // Claim the tenant id in the live map first (an atomic reservation:
-    // two concurrent registers race on this lock, not on the journal
-    // file), then build the session.
+    install_tenant(state, &tenant, || {
+        TenantSession::register(
+            &state.journal_dir,
+            &tenant,
+            &platform_name,
+            platform,
+            &services,
+            demand,
+            &config,
+            Some(&state.cache),
+            state.warm_start,
+        )
+    })
+}
+
+/// Claims `tenant` in the live map, builds its session with `build` and
+/// installs it, answering the new session's status. The claim comes first,
+/// as an atomic reservation: two concurrent registers race on the map's
+/// lock, not on the journal file. Until the session is installed a
+/// [`Reservation`] holds the claim, so a build that fails or panics
+/// leaves the id claimable again.
+fn install_tenant(
+    state: &SharedState,
+    tenant: &str,
+    build: impl FnOnce() -> Result<TenantSession, ServeError>,
+) -> Result<Json, ServeError> {
     let slot: Slot = Arc::new(Mutex::named("serve.tenant-slot", None));
     {
         let mut tenants = state.tenants.write();
-        if tenants.contains_key(&tenant) {
-            return Err(ServeError::TenantExists(tenant));
+        if tenants.contains_key(tenant) {
+            return Err(ServeError::TenantExists(tenant.to_string()));
         }
-        tenants.insert(tenant.clone(), Arc::clone(&slot));
+        tenants.insert(tenant.to_string(), Arc::clone(&slot));
     }
+    // Declared before the slot guard, so it drops after it: the slot lock
+    // is released before the reservation takes `serve.tenants`.
+    let mut reservation = Reservation {
+        state,
+        tenant,
+        installed: false,
+    };
     let mut guard = slot.lock();
-    match TenantSession::register(
-        &state.journal_dir,
-        &tenant,
-        &platform_name,
-        platform,
-        &services,
-        demand,
-        &config,
-        Some(&state.cache),
-        state.warm_start,
-    ) {
-        Ok(session) => {
-            let status = session.status();
-            *guard = Some(session);
-            Ok(status.to_json())
-        }
-        Err(e) => {
-            // Roll the reservation back so the id is claimable again.
-            drop(guard);
-            state.tenants.write().remove(&tenant);
-            Err(e)
+    let session = build()?;
+    let status = session.status();
+    *guard = Some(session);
+    reservation.installed = true;
+    Ok(status.to_json())
+}
+
+/// A tenant id claimed in the live map while its session is built.
+/// Dropped before the session is installed — the build returned an error
+/// or panicked — it removes the claim.
+struct Reservation<'a> {
+    state: &'a SharedState,
+    tenant: &'a str,
+    installed: bool,
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        if !self.installed {
+            self.state.tenants.write().remove(self.tenant);
         }
     }
 }
@@ -663,6 +692,48 @@ mod tests {
             held <= 4,
             "{held} connection threads held after 33 connections"
         );
+        drop(client);
+        daemon.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A panic while a `register` built its session used to leave the
+    /// tenant id reserved: a later `register` of the id answered
+    /// `tenant-exists`, while `status` listed no such tenant.
+    #[test]
+    fn a_register_whose_build_panics_releases_the_tenant_id() {
+        use crate::wire::ServiceDef;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let dir = std::env::temp_dir().join(format!("adept-daemon-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = Daemon::start(ServeConfig::new(
+            "127.0.0.1:0",
+            dir.clone(),
+            vec![("lyon8".into(), lyon_cluster(8))],
+        ))
+        .expect("daemon starts");
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            install_tenant(&daemon.state, "acme", || panic!("planning panicked"))
+        }));
+        assert!(caught.is_err(), "the build panicked");
+        let services = [ServiceDef {
+            name: "dgemm-310".into(),
+            wapp_mflop: 59.6,
+            weight: 1.0,
+        }];
+        let mut client = ServeClient::connect(daemon.addr()).expect("daemon is listening");
+        client
+            .register(
+                "acme",
+                "lyon8",
+                &services,
+                &[1.0],
+                &SessionConfig::default(),
+            )
+            .expect("the id is claimable again");
+        let status = client.status().expect("status");
+        let listed = status.tenants.iter().filter(|t| t.tenant == "acme");
+        assert_eq!(listed.count(), 1);
         drop(client);
         daemon.stop();
         let _ = std::fs::remove_dir_all(&dir);
