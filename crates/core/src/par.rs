@@ -15,12 +15,20 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// by claim index: element `i` is `job(i)`.
 ///
 /// With `workers ≤ 1` or `n ≤ 1` the jobs run in order on the caller's
-/// thread. Otherwise `min(workers, n)` scoped threads claim indices from
-/// a shared counter — dynamic load balance, since jobs may differ widely
+/// thread. Otherwise `min(workers, n)` workers claim indices from a
+/// shared counter — dynamic load balance, since jobs may differ widely
 /// in cost — and the results are put back in index order, so a caller
 /// folding them sees the same sequence whatever the schedule was. A
 /// panic in `job` is re-raised on the caller's thread with its own
 /// payload.
+///
+/// The caller's thread is one of the workers; only the others are
+/// spawned, as scoped threads. So the first claim runs at once on a
+/// thread that is already on a CPU, and a spawned thread that waits for
+/// a CPU delays only the jobs it claims while the caller claims the
+/// rest. (With every worker spawned, the second of two workers on a
+/// 2-vCPU host often started 1.5–4 ms after the first: a tenth of the
+/// per-site phase of a 10⁶-node multi-site sweep.)
 pub fn par_claim<R: Send>(workers: usize, n: usize, job: impl Fn(usize) -> R + Sync) -> Vec<R> {
     if workers <= 1 || n <= 1 {
         return (0..n).map(job).collect();
@@ -41,11 +49,14 @@ pub fn par_claim<R: Send>(workers: usize, n: usize, job: impl Fn(usize) -> R + S
         }
     };
     let mut tagged: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(n)).map(|_| scope.spawn(claim)).collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
-            .collect()
+        let helpers: Vec<_> = (1..workers.min(n)).map(|_| scope.spawn(claim)).collect();
+        // A panic here unwinds out of the scope, which joins the helpers
+        // first and then re-raises this payload.
+        let mut tagged = claim();
+        for helper in helpers {
+            tagged.extend(helper.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        tagged
     });
     tagged.sort_unstable_by_key(|&(i, _)| i);
     tagged.into_iter().map(|(_, r)| r).collect()
@@ -83,6 +94,26 @@ mod tests {
                 payload.downcast_ref::<String>().map(String::as_str),
                 Some("job 4 failed"),
                 "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn panics_on_the_caller_and_a_helper_re_raise_a_job_payload() {
+        // Every job panics, so the caller's first claim panics and so
+        // does each helper's; the payload that comes back must be a
+        // job's, not the scope's generic "a scoped thread panicked".
+        for workers in [2usize, 3] {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                par_claim(workers, 8, |i| -> usize {
+                    std::panic::panic_any(format!("job {i} failed"))
+                })
+            }));
+            let payload = caught.expect_err("every job panicked");
+            let message = payload.downcast_ref::<String>().map(String::as_str);
+            assert!(
+                message.is_some_and(|m| m.starts_with("job ") && m.ends_with(" failed")),
+                "workers={workers}: {message:?}"
             );
         }
     }
