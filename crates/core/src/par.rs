@@ -25,10 +25,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// The caller's thread is one of the workers; only the others are
 /// spawned, as scoped threads. So the first claim runs at once on a
 /// thread that is already on a CPU, and a spawned thread that waits for
-/// a CPU delays only the jobs it claims while the caller claims the
-/// rest. (With every worker spawned, the second of two workers on a
-/// 2-vCPU host often started 1.5–4 ms after the first: a tenth of the
-/// per-site phase of a 10⁶-node multi-site sweep.)
+/// one (on a 2-vCPU host often 1.5–4 ms, a tenth of the per-site phase
+/// of a 10⁶-node multi-site sweep) delays only the jobs it claims while
+/// the caller claims the rest.
 pub fn par_claim<R: Send>(workers: usize, n: usize, job: impl Fn(usize) -> R + Sync) -> Vec<R> {
     if workers <= 1 || n <= 1 {
         return (0..n).map(job).collect();
