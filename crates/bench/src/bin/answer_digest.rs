@@ -10,7 +10,10 @@
 //!
 //! It covers the heuristic (paper, rebalance, no conversion; unbounded
 //! and demand-capped), the sweep with 1 and 3 threads, `plan_mix` under
-//! both objectives, `best_mix_plan_stats` and `replan`/`replan_mix`, on
+//! both objectives, `best_mix_plan_stats`, `replan`/`replan_mix`, the
+//! plan cache's near-tier revision (an unbounded-budget `replan_mix`)
+//! and GoDiet's `deploy` and `migrate` under failure injection, with
+//! their spare substitutions, on
 //! homogeneous, heterogenized and uniform-random clusters, 2–4-site grids
 //! up to 4 × 6,000 nodes, a grid whose sites hold one node each, and the
 //! 4 × 250,000-node grid of the benchmark's pipeline. Sweep-only lines
@@ -29,10 +32,12 @@ use adept_core::model::ModelParams;
 use adept_core::planner::{
     HeuristicPlanner, MixObjective, MixPlan, MixPlanner, OnlinePlanner, Planner, SweepPlanner,
 };
+use adept_godiet::{DeployError, GoDiet, MigrationScript};
 use adept_hierarchy::{DeploymentPlan, Role};
 use adept_platform::generator::{
     heterogenized_cluster, lyon_cluster, multi_site_grid, uniform_random_cluster,
 };
+use adept_platform::NodeId;
 use adept_platform::{BackgroundLoad, CapacityProbe, MbitRate, MflopRate, Network, Platform};
 use adept_platform::{Mflop, Seconds};
 use adept_workload::{ClientDemand, Dgemm, MixDemand, ServiceMix, ServiceSpec};
@@ -255,6 +260,97 @@ fn mixes(
     Ok(())
 }
 
+/// One GoDiet line: the `(failed, spare)` substitutions and the plan
+/// that ends up running, or the launch's error.
+fn godiet_line(
+    out: &mut String,
+    case: &str,
+    launched: Result<(Vec<(NodeId, NodeId)>, DeploymentPlan), DeployError>,
+) {
+    let _ = match launched {
+        Ok((substitutions, plan)) => {
+            let pairs: Vec<String> = substitutions
+                .iter()
+                .map(|(failed, spare)| format!("{}>{}", failed.0, spare.0))
+                .collect();
+            writeln!(
+                out,
+                "{case} | subs={} | plan={}",
+                pairs.join(" "),
+                bfs(&plan)
+            )
+        }
+        Err(e) => writeln!(out, "{case} | err={e}"),
+    };
+}
+
+/// GoDiet's failure injection for the revision lines, `(probability,
+/// seed)`: both substitute spares on the small platforms.
+const FAILURES: [(f64, u64); 2] = [(0.5, 7), (0.6, 3)];
+
+/// Revisions of a running mix deployment: `plan_mix` at half the
+/// unbounded ρ, revised with an unbounded budget toward 1.15× and 0.85×
+/// that demand (the plan cache's near-tier call), then deployed and
+/// migrated to each revision by GoDiet with failure injection, so spare
+/// nodes substitute for elements that keep failing.
+fn revisions(
+    out: &mut String,
+    name: &str,
+    platform: &Platform,
+    mixes: &[(&str, &ServiceMix)],
+) -> Res {
+    let reviser = OnlinePlanner {
+        max_changes: usize::MAX,
+        ..OnlinePlanner::default()
+    };
+    for (label, mix) in mixes {
+        let case = format!("{name} {label}");
+        let unbounded = MixPlanner::default().plan_mix_unbounded(platform, mix)?;
+        let demand = |factor: f64| {
+            MixDemand::targets(
+                (0..mix.len())
+                    .map(|j| factor * 0.5 * unbounded.report.rho * mix.share(j))
+                    .collect(),
+            )
+        };
+        let base = MixPlanner::default().plan_mix(platform, mix, &demand(1.0))?;
+        mix_line(out, &format!("{case} plan_mix target/2"), &base);
+        for (p, seed) in FAILURES {
+            let tool = GoDiet::with_failures(p, seed);
+            godiet_line(
+                out,
+                &format!("{case} deploy p={p} seed={seed}"),
+                tool.deploy(platform, &base.plan)
+                    .map(|r| (r.substitutions, r.plan)),
+            );
+        }
+        for factor in [1.15, 0.85] {
+            let replan =
+                reviser.replan_mix(platform, &base.plan, mix, &base.assignment, &demand(factor))?;
+            let near = format!("{case} near x{factor}");
+            line(
+                out,
+                &near,
+                replan.report.rho,
+                &replan.plan,
+                &assignment(&replan.assignment),
+            );
+            for (p, seed) in FAILURES {
+                let migrated =
+                    MigrationScript::compile(&base.plan, &replan.plan).and_then(|script| {
+                        GoDiet::with_failures(p, seed).migrate(platform, &base.plan, &script)
+                    });
+                godiet_line(
+                    out,
+                    &format!("{near} migrate p={p} seed={seed}"),
+                    migrated.map(|r| (r.substitutions, r.plan)),
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 fn main() -> Res {
     let start = Instant::now();
     let mut out = String::new();
@@ -305,6 +401,9 @@ fn main() -> Res {
             .filter(|(_, m)| platform.node_count() > m.len())
             .collect();
         mixes(&mut out, name, platform, &fits, true)?;
+        if ["lyon-45", "grid-2x20", "grid-4x25", "one-node-sites"].contains(name) {
+            revisions(&mut out, name, platform, &fits)?;
+        }
     }
 
     // Sweeps whose agent-count loop stops at its tail bound in each
@@ -352,6 +451,7 @@ fn main() -> Res {
     single_service(&mut out, "grid-2x5000", &catalog, &[100, 310], false)?;
     mixes(&mut out, "grid-2x5000", &catalog, &[three, heavy], false)?;
     mixes(&mut out, "grid-2x5000", &catalog, &[two], true)?;
+    revisions(&mut out, "grid-2x5000", &catalog, &[two, three])?;
     let grid_big = grid(4, 6_000, 10.0, 13);
     single_service(&mut out, "grid-4x6000", &grid_big, &[310], true)?;
     mixes(&mut out, "grid-4x6000", &grid_big, &[two], true)?;

@@ -9,7 +9,11 @@
 //! * **grow** — attach an unused platform node as a server under the
 //!   agent that keeps the highest scheduling power with one more child
 //!   (1 change): Algorithm 1's attach rule, read from the same lazily
-//!   re-keyed heap the offline growth loop keeps;
+//!   re-keyed heap the offline growth loop keeps. The node is the
+//!   strongest spare (on a multi-site platform, the best of each site's
+//!   strongest), read through a [`SpareCursor`] from the platform's
+//!   stored per-site order, so a round reads O(plan + sites) nodes, not
+//!   the catalog;
 //! * **reassign** — reinstall a server of a slack service for a starved
 //!   one (1 change, tree untouched; multi-service deployments only);
 //! * **shrink** — retire the weakest server (1 change; frees a machine
@@ -45,34 +49,12 @@ use super::EPS;
 use crate::model::mix::{MixReport, ServerAssignment};
 use crate::model::{IncrementalEval, ModelParams};
 use adept_hierarchy::{DeploymentPlan, PlanDiff, PlanError, Role, Slot};
-use adept_platform::{NodeId, Platform, SiteId};
+use adept_platform::{NodeId, Platform, SpareCursor};
 use adept_workload::{ClientDemand, MixDemand, ServiceMix, ServiceSpec};
 
-/// Growth candidates for one replan step: on a uniform network, the
-/// strongest unused node; on a multi-site platform, the strongest unused
-/// node **of every site** — a weaker local node can beat the globally
-/// strongest one sitting behind a slow WAN link, so each site's best
-/// candidate is probed with its real link costs.
-fn grow_candidates(platform: &Platform, unused: &[NodeId], site_aware: bool) -> Vec<NodeId> {
-    if !site_aware {
-        return unused.first().copied().into_iter().collect();
-    }
-    let mut seen: Vec<SiteId> = Vec::new();
-    let mut picks = Vec::new();
-    for &node in unused {
-        let site = platform.site_of(node);
-        if !seen.contains(&site) {
-            seen.push(site);
-            picks.push(node); // `unused` is power-descending: first = strongest
-        }
-    }
-    picks
-}
-
 /// Engine state preserved across revision rounds: the incremental
-/// evaluator (tournament tree + running sums) and the power-ordered
-/// spare-node list, both exactly as a cold rebuild of the same inputs
-/// would produce them.
+/// evaluator (tournament tree + running sums) and the spare-node cursor,
+/// both reading exactly as a cold rebuild of the same inputs would.
 ///
 /// A state is captured only after a round that committed **zero**
 /// moves — every probe was undone, and undo is bit-exact — so seeding
@@ -80,7 +62,10 @@ fn grow_candidates(platform: &Platform, unused: &[NodeId], site_aware: bool) -> 
 #[derive(Debug, Clone)]
 struct WarmState {
     eval: IncrementalEval,
-    unused: Vec<NodeId>,
+    /// Read positions only ever move past nodes of the running plan, and
+    /// a zero-commit round takes and frees nothing, so the cursor reads
+    /// the next round's spares exactly as a fresh one would.
+    unused: SpareCursor,
     /// Cheap O(S) fingerprint of the inputs the state was built from.
     fingerprint: u64,
     /// Demand bit patterns of the zero-commit round that produced this
@@ -97,10 +82,11 @@ struct WarmState {
 /// and passed to [`OnlinePlanner::replan_mix_warm`] (through
 /// [`Revise::revise_mix_warm`](super::Revise::revise_mix_warm)), which
 /// seeds its search from the incumbent [`IncrementalEval`] instead of
-/// rebuilding it from the plan — skipping the O(n) engine construction
-/// and O(n log n) spare-node scan on steady-state ticks. Warm state is a
-/// pure search accelerator: warm rounds return bit-identical answers to
-/// their cold counterparts.
+/// rebuilding it from the plan — skipping the O(plan log plan) engine
+/// construction on steady-state ticks, and answering a tick whose demand
+/// repeats the stored round's in O(S). Warm state is a pure search
+/// accelerator: warm rounds return bit-identical answers to their cold
+/// counterparts.
 ///
 /// **Invalidation contract:** the fingerprint guarding reuse is a cheap
 /// O(S) sanity check (plan size, root, mix shares/Wapps), not a full
@@ -249,15 +235,6 @@ fn without_server(plan: &DeploymentPlan, victim: Slot) -> DeploymentPlan {
     rebuilt
 }
 
-/// Unused platform nodes, most powerful first.
-fn unused_by_power(platform: &Platform, plan: &DeploymentPlan) -> Vec<NodeId> {
-    platform
-        .ids_by_power_desc()
-        .into_iter()
-        .filter(|&id| !plan.uses_node(id))
-        .collect()
-}
-
 /// The engine's servers, weakest first with ties to the lower slot: the
 /// order in which `reassign` tries donors and `shrink` tries victims.
 fn servers_weakest_first(eval: &IncrementalEval) -> Vec<Slot> {
@@ -275,6 +252,9 @@ fn servers_weakest_first(eval: &IncrementalEval) -> Vec<Slot> {
 struct MixOps<'a> {
     params: ModelParams,
     platform: &'a Platform,
+    /// The round's input plan: the nodes the spare cursor skips. Nodes
+    /// the round takes or frees are recorded in the cursor.
+    running: &'a DeploymentPlan,
     mix: &'a ServiceMix,
     demand: &'a MixDemand,
     plan: DeploymentPlan,
@@ -283,7 +263,7 @@ struct MixOps<'a> {
     /// Attach targets of `eval`'s agents, kept current across commits.
     heap: AttachHeap,
     reassigned: Vec<(NodeId, usize, usize)>,
-    unused: Vec<NodeId>,
+    unused: SpareCursor,
     /// Per-service margin divisors (zero = that component never binds).
     divisors: Vec<f64>,
     /// Scheduling-phase divisor.
@@ -300,6 +280,25 @@ struct MixOps<'a> {
 impl MixOps<'_> {
     fn margin(&self) -> f64 {
         normalized_min(&self.eval, &self.divisors, self.sched_divisor)
+    }
+
+    /// Growth candidates for one replan step: on a uniform network, the
+    /// strongest unused node; on a multi-site platform, the strongest
+    /// unused node **of every site**, strongest first — a weaker local
+    /// node can beat the globally strongest one sitting behind a slow WAN
+    /// link, so each site's best candidate is probed with its real link
+    /// costs.
+    fn grow_candidates(&mut self) -> Vec<NodeId> {
+        let running = self.running;
+        let used = |id| running.uses_node(id);
+        if self.eval.is_site_aware() {
+            self.unused.site_heads(self.platform, used)
+        } else {
+            self.unused
+                .strongest(self.platform, used)
+                .into_iter()
+                .collect()
+        }
     }
 
     fn probe_attach(&mut self, parent: Slot, fresh: NodeId) -> AttachChoice {
@@ -324,7 +323,7 @@ impl ReviseOps for MixOps<'_> {
         // Grow one server (1 change) for the service that most improves
         // the margin. Multi-site platforms probe every site's strongest
         // spare node with its real link costs.
-        let grow = grow_candidates(self.platform, &self.unused, self.eval.is_site_aware());
+        let grow = self.grow_candidates();
         // Probes are undone, so the pre-attach service-phase minimum is
         // invariant across candidates.
         let svc_min = normalized_service_min(&self.eval, &self.divisors);
@@ -353,7 +352,7 @@ impl ReviseOps for MixOps<'_> {
         self.eval.commit();
         self.heap.update(&self.params, &self.eval, agent);
         self.current = choice.score;
-        self.unused.retain(|&n| n != fresh);
+        self.unused.take(self.platform, fresh);
         self.commits += 1;
         Some(1)
     }
@@ -396,7 +395,13 @@ impl ReviseOps for MixOps<'_> {
     fn convert_grow(&mut self) -> Option<usize> {
         // Promote the strongest server, attach the best spare node under
         // it for the best service (2 changes).
-        if self.eval.server_count() < 2 || self.unused.is_empty() {
+        let running = self.running;
+        if self.eval.server_count() < 2
+            || self
+                .unused
+                .strongest(self.platform, |id| running.uses_node(id))
+                .is_none()
+        {
             return None;
         }
         let victim = self
@@ -411,7 +416,7 @@ impl ReviseOps for MixOps<'_> {
         self.eval
             .promote_to_agent(victim)
             .expect("victim is a server");
-        let grow = grow_candidates(self.platform, &self.unused, self.eval.is_site_aware());
+        let grow = self.grow_candidates();
         // Strict gain only, unlike `grow`'s plateau rule: the promotion
         // took a server away, so an attach that merely hands it back
         // would spend two changes and a machine on the same margin.
@@ -445,7 +450,7 @@ impl ReviseOps for MixOps<'_> {
         self.eval.commit();
         self.heap.rebuild(&self.params, &self.eval);
         self.current = choice.score;
-        self.unused.retain(|&n| n != fresh);
+        self.unused.take(self.platform, fresh);
         self.commits += 1;
         Some(2)
     }
@@ -461,7 +466,7 @@ impl ReviseOps for MixOps<'_> {
             self.eval.remove_server(victim).expect("victim is a server");
             if demand_met(&self.eval, self.demand) {
                 let node = self.plan.node(victim);
-                self.unused.push(node);
+                self.unused.free(node);
                 self.assignment.service_of.remove(&node);
                 self.plan = without_server(&self.plan, victim);
                 // Committing a removal compacts the plan's slots, so the
@@ -524,7 +529,7 @@ impl OnlinePlanner {
             &MixDemand::targets(vec![demand.rate()]),
             params,
             eval,
-            unused_by_power(platform, running),
+            SpareCursor::new(platform),
         );
         Replan {
             plan: round.plan,
@@ -568,7 +573,7 @@ impl OnlinePlanner {
         assert_eq!(demand.len(), mix.len(), "one demand entry per mix service");
         let params = super::resolve_params(self.params, platform);
         let eval = IncrementalEval::from_plan_mix(&params, platform, running, mix, assignment)?;
-        let unused = unused_by_power(platform, running);
+        let unused = SpareCursor::new(platform);
         Ok(self
             .mix_round(
                 platform, running, mix, assignment, demand, params, eval, unused,
@@ -576,7 +581,7 @@ impl OnlinePlanner {
             .0)
     }
 
-    /// One mix revision round from a given engine + spare list
+    /// One mix revision round from a given engine + spare cursor
     /// (cold-built or warm); returns the result together with the
     /// post-round engine state and whether the round committed nothing.
     #[allow(clippy::too_many_arguments)]
@@ -589,8 +594,8 @@ impl OnlinePlanner {
         demand: &MixDemand,
         params: ModelParams,
         eval: IncrementalEval,
-        unused: Vec<NodeId>,
-    ) -> (MixReplan, IncrementalEval, Vec<NodeId>, bool) {
+        unused: SpareCursor,
+    ) -> (MixReplan, IncrementalEval, SpareCursor, bool) {
         // Normalize the demand semantics once into per-service divisors
         // (zero = that component never binds) plus a scheduling divisor.
         // Any unbounded entry falls back to the mix shares with a unit
@@ -616,6 +621,7 @@ impl OnlinePlanner {
         let mut ops = MixOps {
             params,
             platform,
+            running,
             mix,
             demand,
             plan: running.clone(),
@@ -664,10 +670,10 @@ impl OnlinePlanner {
     /// reuse across rounds: when `warm` holds the state of a previous
     /// zero-commit round over the same plan, mix, and assignment, the
     /// search seeds from that [`IncrementalEval`] (tournament tree and
-    /// per-service running sums intact) instead of paying the O(n)
-    /// rebuild plus the O(n log n) spare-node scan — and a round whose
-    /// demand vector bit-equals that round's replays its no-change
-    /// outcome in O(S). The answer is bit-identical to a cold
+    /// per-service running sums intact) and spare cursor instead of
+    /// rebuilding the engine from the plan in O(plan log plan) — and a
+    /// round whose demand vector bit-equals that round's replays its
+    /// no-change outcome in O(S). The answer is bit-identical to a cold
     /// [`replan_mix`](OnlinePlanner::replan_mix) either way; see
     /// [`WarmCache`] for the invalidation contract.
     ///
@@ -720,7 +726,7 @@ impl OnlinePlanner {
             }
             None => (
                 IncrementalEval::from_plan_mix(&params, platform, running, mix, assignment)?,
-                unused_by_power(platform, running),
+                SpareCursor::new(platform),
             ),
         };
         let (replan, eval, unused, quiescent) = self.mix_round(
@@ -746,6 +752,17 @@ mod tests {
     use adept_platform::generator::{heterogenized_cluster, lyon_cluster};
     use adept_platform::{BackgroundLoad, CapacityProbe, MflopRate};
     use adept_workload::Dgemm;
+    use proptest::prelude::*;
+
+    /// Unused platform nodes, most powerful first: the eager spare list
+    /// the cursor must read like.
+    fn unused_by_power(platform: &Platform, used: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
+        platform
+            .ids_by_power_desc()
+            .into_iter()
+            .filter(|&id| !used(id))
+            .collect()
+    }
 
     fn rho_of(platform: &Platform, plan: &DeploymentPlan, svc: &ServiceSpec) -> f64 {
         ModelParams::from_platform(platform)
@@ -988,7 +1005,7 @@ mod tests {
             demand,
             plan: running.clone(),
             rho: params.evaluate(platform, running, service).rho,
-            unused: unused_by_power(platform, running),
+            unused: unused_by_power(platform, |id| running.uses_node(id)),
         };
         drive(&mut ops, max_changes);
         Replan {
@@ -1335,6 +1352,149 @@ mod tests {
                 )
                 .unwrap();
             assert!(replan.diff.len() <= OnlinePlanner::default().max_changes);
+        }
+    }
+
+    /// Growth candidates read from the eager spare list: on a uniform
+    /// network its first node; on a multi-site platform each site's
+    /// first node, in list order. The reference the cursor's
+    /// `strongest` and `site_heads` reads must equal.
+    fn eager_grow_candidates(
+        platform: &Platform,
+        unused: &[NodeId],
+        site_aware: bool,
+    ) -> Vec<NodeId> {
+        if !site_aware {
+            return unused.first().copied().into_iter().collect();
+        }
+        let mut seen = Vec::new();
+        let mut picks = Vec::new();
+        for &node in unused {
+            let site = platform.site_of(node);
+            if !seen.contains(&site) {
+                seen.push(site);
+                picks.push(node);
+            }
+        }
+        picks
+    }
+
+    /// GoDiet's eager spare pool: every unused node, ordered so `pop()`
+    /// takes the most powerful first.
+    fn eager_spare_nodes(platform: &Platform, used: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
+        let mut spares = unused_by_power(platform, used);
+        spares.reverse();
+        spares
+    }
+
+    /// A spare-cursor case: a platform, the input plan's nodes (`used`),
+    /// and a script of reads, takes and frees.
+    #[derive(Debug)]
+    struct SpareCase {
+        platform: Platform,
+        used: Vec<bool>,
+        ops: Vec<(usize, usize)>,
+    }
+
+    /// 1–5 sites of 1–12 nodes (about a third of the sites hold one
+    /// node), powers from 1–4 distinct levels or continuous, a random
+    /// used set with one site all in use in about a third of the cases,
+    /// and up to 48 operations.
+    fn arb_spare_case() -> impl Strategy<Value = SpareCase> {
+        (1usize..6, 0usize..5, 0u64..1 << 40).prop_map(|(sites, levels, seed)| {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut b = Platform::builder(adept_platform::Network::homogeneous(
+                adept_platform::MbitRate(100.0),
+            ));
+            let distinct = [400.0, 310.0, 250.0, 175.0];
+            for s in 0..sites {
+                let site = b.add_site(format!("site-{s}"));
+                let size = if rng.gen_range(0..3usize) == 0 {
+                    1
+                } else {
+                    rng.gen_range(1..13usize)
+                };
+                for i in 0..size {
+                    let power = if levels == 0 {
+                        rng.gen_range(50.0..800.0)
+                    } else {
+                        distinct[rng.gen_range(0..levels)]
+                    };
+                    b.add_node(format!("site-{s}-n{i}"), MflopRate(power), site)
+                        .expect("fresh name on a known site");
+                }
+            }
+            let platform = b.build().expect("every site holds a node");
+            let full_site = (rng.gen_range(0..3usize) == 0).then(|| rng.gen_range(0..sites));
+            let used = platform
+                .nodes()
+                .iter()
+                .map(|n| full_site == Some(n.site.index()) || rng.gen_range(0..2usize) == 0)
+                .collect();
+            let ops = (0..rng.gen_range(0..49usize))
+                .map(|_| (rng.gen_range(0..4usize), rng.gen_range(0..1usize << 16)))
+                .collect();
+            SpareCase {
+                platform,
+                used,
+                ops,
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every cursor read equals the eager lists' read: interleaved
+        /// takes and frees against `unused_by_power` with taken nodes
+        /// removed and freed nodes pushed at its tail (the reviser's old
+        /// list), and pops against GoDiet's old spare pool.
+        #[test]
+        fn spare_cursor_reads_equal_the_eager_lists(c in arb_spare_case()) {
+            let platform = &c.platform;
+            let used = |id: NodeId| c.used[id.index()];
+
+            let mut pool = eager_spare_nodes(platform, used);
+            let mut cursor = SpareCursor::new(platform);
+            loop {
+                let spare = cursor.strongest(platform, used);
+                prop_assert_eq!(spare, pool.pop());
+                let Some(spare) = spare else { break };
+                cursor.take(platform, spare);
+            }
+
+            let mut eager = unused_by_power(platform, used);
+            // The working plan: the input plan's nodes, plus every node
+            // taken and not freed since.
+            let mut plan: Vec<NodeId> =
+                platform.nodes().iter().map(|n| n.id).filter(|&id| used(id)).collect();
+            let mut cursor = SpareCursor::new(platform);
+            for &(op, pick) in &c.ops {
+                let strongest = cursor.strongest(platform, used);
+                let heads = cursor.site_heads(platform, used);
+                prop_assert_eq!(
+                    strongest.into_iter().collect::<Vec<_>>(),
+                    eager_grow_candidates(platform, &eager, false)
+                );
+                prop_assert_eq!(&heads, &eager_grow_candidates(platform, &eager, true));
+                let taken = match op {
+                    0 => strongest,
+                    1 if !heads.is_empty() => Some(heads[pick % heads.len()]),
+                    2 if !plan.is_empty() => {
+                        let node = plan.remove(pick % plan.len());
+                        cursor.free(node);
+                        eager.push(node);
+                        None
+                    }
+                    _ => None,
+                };
+                if let Some(node) = taken {
+                    cursor.take(platform, node);
+                    eager.retain(|&n| n != node);
+                    plan.push(node);
+                }
+            }
         }
     }
 

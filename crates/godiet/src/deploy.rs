@@ -3,8 +3,7 @@
 use crate::launch::launch_stages;
 use adept_hierarchy::xml::{parse_xml, XmlError};
 use adept_hierarchy::{validate::validate_on, DeploymentPlan, Slot};
-use adept_platform::{NodeId, Platform, Seconds};
-use std::collections::HashSet;
+use adept_platform::{NodeId, Platform, Seconds, SpareCursor};
 use std::fmt;
 
 /// Errors raised by [`GoDiet::deploy`].
@@ -140,7 +139,7 @@ impl GoDiet {
         &self,
         slot: Slot,
         mut node: NodeId,
-        spares: &mut Vec<NodeId>,
+        spares: &mut Spares<'_, impl Fn(NodeId) -> bool>,
         launches: &mut u32,
         failures: &mut u32,
         substitutions: &mut Vec<(NodeId, NodeId)>,
@@ -205,8 +204,7 @@ impl GoDiet {
             return Err(DeployError::InvalidPlan(fatal.join("; ")));
         }
 
-        let used: HashSet<NodeId> = plan.slots().map(|s| plan.node(s)).collect();
-        let mut spares = spare_nodes(platform, |id| used.contains(&id));
+        let mut spares = Spares::new(platform, |id| plan.uses_node(id));
 
         let mut running = plan.clone();
         let mut launches = 0u32;
@@ -271,16 +269,31 @@ pub(crate) struct StartedElement {
     pub attempts: u32,
 }
 
-/// Spare pool: platform nodes for which `used` is false, ordered so
-/// `pop()` takes the most powerful first.
-pub(crate) fn spare_nodes(platform: &Platform, used: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
-    let mut spares: Vec<NodeId> = platform
-        .ids_by_power_desc()
-        .into_iter()
-        .filter(|&id| !used(id))
-        .collect();
-    spares.reverse();
-    spares
+/// Spare pool: platform nodes for which `used` is false, popped most
+/// powerful first (ties to the lower id). A [`SpareCursor`] reads them
+/// from the platform's stored order, so a launch that never substitutes
+/// reads no node at all.
+pub(crate) struct Spares<'a, F> {
+    platform: &'a Platform,
+    used: F,
+    cursor: SpareCursor,
+}
+
+impl<'a, F: Fn(NodeId) -> bool> Spares<'a, F> {
+    pub(crate) fn new(platform: &'a Platform, used: F) -> Self {
+        Self {
+            platform,
+            used,
+            cursor: SpareCursor::new(platform),
+        }
+    }
+
+    /// Takes the most powerful spare left.
+    fn pop(&mut self) -> Option<NodeId> {
+        let spare = self.cursor.strongest(self.platform, &self.used)?;
+        self.cursor.take(self.platform, spare);
+        Some(spare)
+    }
 }
 
 /// Returns a copy of `plan` with the platform node of `slot` replaced by

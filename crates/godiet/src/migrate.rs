@@ -29,7 +29,7 @@
 use crate::deploy::{DeployError, GoDiet, LAUNCH_LATENCY};
 use adept_hierarchy::{DeploymentPlan, NodeChange, PlanDiff, Role, Slot};
 use adept_platform::{NodeId, Platform, Seconds};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// One step of a migration.
@@ -391,12 +391,9 @@ impl GoDiet {
                 )));
             }
         }
-        let used: HashSet<NodeId> = running
-            .slots()
-            .map(|s| running.node(s))
-            .chain(script.target.slots().map(|s| script.target.node(s)))
-            .collect();
-        let mut spares = crate::deploy::spare_nodes(platform, |id| used.contains(&id));
+        let mut spares = crate::deploy::Spares::new(platform, |id| {
+            running.uses_node(id) || script.target.uses_node(id)
+        });
 
         let mut launches = 0u32;
         let mut failures = 0u32;

@@ -14,8 +14,10 @@
 //! * resource and site descriptions ([`resource`]);
 //! * the network model ([`network`]), homogeneous as in the paper plus a
 //!   per-link extension corresponding to the paper's *future work* section;
-//! * the aggregate [`platform::Platform`] type, and the lazily sorted
-//!   strongest-first [`ranking::NodeRanking`] the planners read;
+//! * the aggregate [`platform::Platform`] type, the lazily sorted
+//!   strongest-first [`ranking::NodeRanking`] the planners read, and the
+//!   [`spare::SpareCursor`] through which the online reviser and GoDiet
+//!   read a running deployment's spare nodes;
 //! * synthetic platform generators ([`generator`]) that stand in for the
 //!   Grid'5000 Lyon and Orsay clusters used in the paper, including the
 //!   paper's methodology of *heterogenizing* a homogeneous cluster by adding
@@ -38,6 +40,7 @@ pub mod network;
 pub mod platform;
 pub mod ranking;
 pub mod resource;
+pub mod spare;
 pub mod units;
 
 pub use calibration::{AgentCalibration, CapacityProbe, MiddlewareCalibration, ServerCalibration};
@@ -47,4 +50,5 @@ pub use network::Network;
 pub use platform::Platform;
 pub use ranking::NodeRanking;
 pub use resource::{NodeId, Resource, Site, SiteId};
+pub use spare::SpareCursor;
 pub use units::{Mbit, MbitRate, Mflop, MflopRate, Seconds};

@@ -25,7 +25,10 @@
 //! truncated tail as [`JournalError::TruncatedTail`]; the daemon
 //! resumes with [`read_lenient`](Journal::read_lenient), which drops a
 //! partial final line (crash mid-append) but still refuses interior
-//! corruption.
+//! corruption. A resumed session then reopens the file with
+//! [`open_append`](Journal::open_append), which cuts that partial line
+//! off before the first append, so the next record starts a line of its
+//! own.
 
 use crate::error::JournalError;
 use crate::json::Json;
@@ -35,7 +38,7 @@ use crate::wire::{
 };
 use adept_control::controller::ExecutionSample;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// One journal record.
@@ -224,13 +227,36 @@ impl Journal {
 
     /// Reopens an existing journal for appending (after a resume).
     ///
+    /// A crash mid-append leaves a final line with no newline. Before the
+    /// first append, that line is settled by the rule
+    /// [`read_lenient`](Journal::read_lenient) reads it with: a line that
+    /// parses as a record gets its newline, any other is cut off. Without
+    /// this, the next record would extend the fragment's line, and the
+    /// next resume would find a corrupt interior record.
+    ///
     /// # Errors
-    /// [`JournalError::Io`] when the file cannot be opened.
+    /// [`JournalError::Io`] when the file cannot be opened or repaired.
     pub fn open_append(path: &Path) -> Result<Journal, JournalError> {
-        let file = OpenOptions::new()
+        let io = |e: std::io::Error| JournalError::Io(e.to_string());
+        let mut file = OpenOptions::new()
+            .read(true)
             .append(true)
             .open(path)
-            .map_err(|e| JournalError::Io(e.to_string()))?;
+            .map_err(io)?;
+        let end = file.seek(SeekFrom::End(0)).map_err(io)?;
+        let start = last_line_start(&mut file, end).map_err(io)?;
+        if start < end {
+            let mut fragment = String::new();
+            file.seek(SeekFrom::Start(start)).map_err(io)?;
+            let kept =
+                file.read_to_string(&mut fragment).is_ok() && Record::parse(&fragment, 0).is_ok();
+            if kept {
+                file.write_all(b"\n").and_then(|()| file.flush())
+            } else {
+                file.set_len(start)
+            }
+            .map_err(io)?;
+        }
         Ok(Journal {
             path: path.to_path_buf(),
             file,
@@ -332,6 +358,24 @@ impl Journal {
     }
 }
 
+/// The offset just past the last newline before `end`, or 0 when there
+/// is none: where the file's final line starts. Reads backwards in 4 KiB
+/// blocks, so only the final line is read.
+fn last_line_start(file: &mut File, end: u64) -> std::io::Result<u64> {
+    let mut block = [0u8; 4096];
+    let mut pos = end;
+    while pos > 0 {
+        let len = pos.min(block.len() as u64) as usize;
+        pos -= len as u64;
+        file.seek(SeekFrom::Start(pos))?;
+        file.read_exact(&mut block[..len])?;
+        if let Some(i) = block[..len].iter().rposition(|&b| b == b'\n') {
+            return Ok(pos + i as u64 + 1);
+        }
+    }
+    Ok(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,6 +473,60 @@ mod tests {
         let (records, dropped) = Journal::read_lenient(&path).unwrap();
         assert_eq!(records, vec![register_record()]);
         assert_eq!(dropped, Some(2));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopening_settles_a_torn_final_line_before_appending() {
+        let dir = tmp_dir("reopen");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = journal_path(&dir, "t1");
+        let good = register_record().to_json().to_string();
+        let tick = Record::Tick {
+            rates: vec![1.0],
+            executions: vec![],
+        };
+        // A partial record is cut off; a whole record that lost only its
+        // newline is kept and terminated; a clean file is left alone. A
+        // register line longer than one 4 KiB block exercises the
+        // backwards read.
+        let long = Record::Register {
+            tenant: "t1".into(),
+            platform: "lyon".into(),
+            fingerprint: 7,
+            services: vec![
+                ServiceDef {
+                    name: "x".repeat(5000),
+                    wapp_mflop: 1.0,
+                    weight: 1.0,
+                };
+                2
+            ],
+            demand: vec![1.0, 1.0],
+            config: SessionConfig::default(),
+        }
+        .to_json()
+        .to_string();
+        for (before, want) in [
+            (
+                format!("{good}\n{{\"record\":\"tick\",\"ra"),
+                vec![register_record()],
+            ),
+            (good.clone(), vec![register_record()]),
+            (format!("{good}\n"), vec![register_record()]),
+            (
+                format!("{long}\n{{\"rec"),
+                vec![Record::parse(&long, 1).unwrap()],
+            ),
+            (long.clone(), vec![Record::parse(&long, 1).unwrap()]),
+        ] {
+            std::fs::write(&path, &before).unwrap();
+            let mut journal = Journal::open_append(&path).unwrap();
+            journal.append(&tick).unwrap();
+            let mut want = want;
+            want.push(tick.clone());
+            assert_eq!(Journal::read_strict(&path).unwrap(), want, "{before:.60}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -212,9 +212,10 @@ impl TenantSession {
     /// a silent replan on different hardware.
     ///
     /// Replay is lenient about a truncated final record (a crash
-    /// mid-append loses that one unacknowledged input) but must
-    /// reproduce every journaled `migration` checkpoint exactly —
-    /// anything else is a [`JournalError::ReplayDivergence`].
+    /// mid-append loses that one unacknowledged input, and
+    /// [`Journal::open_append`] cuts it off the file before the next
+    /// append) but must reproduce every journaled `migration` checkpoint
+    /// exactly — anything else is a [`JournalError::ReplayDivergence`].
     ///
     /// A journal ending in a `drain` record belongs to a finished
     /// session and resumes as `Ok(None)`.
@@ -819,6 +820,113 @@ mod tests {
         assert_eq!(a.servers, b.servers);
         assert_eq!(a.per_service_servers, b.per_service_servers);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Cuts a journal at every byte offset and resumes it twice, with
+    /// one `observe` in between: the first resume refuses with a typed
+    /// error (a cut inside the `register` record) or reproduces a live
+    /// session fed the surviving records, and the second reproduces the
+    /// first plus its `observe`. The journal holds two migrations with
+    /// spare substitutions (2-site, 30-node grid, failure injection on).
+    #[test]
+    fn a_journal_cut_at_any_byte_resumes_twice() {
+        let dir = tmp_dir("torn");
+        let grid = Arc::new(generator::multi_site_grid(
+            2,
+            15,
+            adept_platform::MflopRate(400.0),
+            adept_platform::MbitRate(100.0),
+            adept_platform::MbitRate(10.0),
+            7,
+        ));
+        let lookup = |name: &str| (name == "grid2x15").then(|| grid.clone());
+        let config = SessionConfig {
+            failure_probability: 0.55,
+            failure_seed: 23,
+            ..SessionConfig::default()
+        };
+        let start = |dir: &Path| {
+            TenantSession::register(
+                dir,
+                "acme",
+                "grid2x15",
+                grid.clone(),
+                &services2(),
+                vec![2.0, 0.3],
+                &config,
+                None,
+                true,
+            )
+            .expect("registration plans and claims cleanly")
+        };
+        let extra = vec![1.0, 0.2];
+        let mut live = start(&dir);
+        for rates in [[2.0, 0.3], [2.0, 1.2], [2.0, 1.2], [2.0, 1.2], [0.5, 0.1]] {
+            live.observe(rates.to_vec(), vec![]).unwrap();
+        }
+        live.migrate(vec![3.0, 1.5]).unwrap();
+        let migrations = live.migrations().to_vec();
+        assert!(migrations.len() >= 2, "{migrations:?}");
+        assert!(
+            migrations.iter().any(|m| m.substitutions > 0),
+            "{migrations:?}"
+        );
+        drop(live);
+        let path = journal_path(&dir, "acme");
+        let bytes = std::fs::read(&path).unwrap();
+        let records = Journal::read_strict(&path).unwrap();
+        let register_len = bytes.iter().position(|&b| b == b'\n').unwrap();
+
+        // A live session fed the first `i` records' inputs, then `extra`:
+        // its status before and after the extra tick, for every `i`.
+        let reference_dir = tmp_dir("torn-reference");
+        let reference: Vec<(TenantStatus, TenantStatus)> = (1..=records.len())
+            .map(|i| {
+                let _ = std::fs::remove_dir_all(&reference_dir);
+                let mut session = start(&reference_dir);
+                for record in &records[1..i] {
+                    match record {
+                        Record::Tick { rates, executions } => {
+                            session.observe(rates.clone(), executions.clone()).unwrap();
+                        }
+                        Record::Replan { demand } => {
+                            session.migrate(demand.clone()).unwrap();
+                        }
+                        _ => {}
+                    }
+                }
+                let before = session.status();
+                session.observe(extra.clone(), vec![]).unwrap();
+                (before, session.status())
+            })
+            .collect();
+
+        for cut in 0..=bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let survivors = Journal::read_lenient(&path).map_or(0, |(r, _)| r.len());
+            let first = TenantSession::resume(&path, &lookup, true);
+            if cut < register_len {
+                assert!(
+                    matches!(first, Err(ServeError::Journal(_))),
+                    "cut {cut} inside the register record: {first:?}"
+                );
+                continue;
+            }
+            let mut first = first
+                .unwrap_or_else(|e| panic!("cut {cut}: {e}"))
+                .expect("no drain record");
+            let (before, after) = &reference[survivors - 1];
+            assert_eq!(&first.status(), before, "cut {cut}: first resume");
+            first.observe(extra.clone(), vec![]).unwrap();
+            assert_eq!(&first.status(), after, "cut {cut}: observe after resume");
+            drop(first);
+            let second = TenantSession::resume(&path, &lookup, true)
+                .unwrap_or_else(|e| panic!("cut {cut}: second resume: {e}"))
+                .expect("no drain record");
+            assert_eq!(&second.status(), after, "cut {cut}: second resume");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&reference_dir).unwrap();
     }
 
     #[test]

@@ -564,6 +564,8 @@ fn journal_recovery_edge_cases_are_typed_and_isolated() {
         "the truncated third tick was never acknowledged and is dropped"
     );
     assert_eq!(status.resume_errors.len(), 2, "surfaced over the wire too");
+    let outcome = client.observe("acme", &PHASES[0].1, &[]).unwrap();
+    assert_eq!(outcome.tick, 3, "the dropped tick's number is reused");
 
     // A journal on disk blocks a live re-claim even when its session
     // failed to resume.
@@ -577,6 +579,25 @@ fn journal_recovery_edge_cases_are_typed_and_isolated() {
         )
         .unwrap_err();
     assert_eq!(err.code, ErrorCode::JournalMismatch);
+    daemon.stop();
+
+    // A third boot: the resume cut the torn fragment off before the
+    // acknowledged tick was appended, so acme resumes with all three.
+    let daemon = Daemon::start(serve_config(&dir)).expect("daemon boots");
+    let mut errors = daemon.resume_errors();
+    errors.sort();
+    let failed: Vec<&str> = errors.iter().map(|e| e.0.as_str()).collect();
+    assert_eq!(
+        failed,
+        ["ghost", "hollow"],
+        "acme resumes again: {errors:?}"
+    );
+    let status = ServeClient::connect(daemon.addr())
+        .unwrap()
+        .status()
+        .unwrap();
+    assert_eq!(status.tenants.len(), 1);
+    assert_eq!(status.tenants[0].ticks, 3, "the acknowledged tick survives");
     daemon.stop();
 
     // Catalog drift: the same platform name with a different shape must
