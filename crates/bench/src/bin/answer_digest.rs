@@ -19,7 +19,10 @@
 //! 4 × 250,000-node grid of the benchmark's pipeline. Sweep-only lines
 //! cover inputs on which the sweep's agent-count loop stops at its tail
 //! bound in each regime: a 6,000-node single-site list at DGEMM 10, 310
-//! and 1000, `lyon_cluster(1000)` and a latency override.
+//! and 1000, `lyon_cluster(1000)` and a latency override. Each named
+//! platform also gets one line with its `Platform::fingerprint`, so a
+//! change to the generators or to `PlatformBuilder` that alters any host
+//! name, power, site or link shows up even where no answer moves.
 //!
 //! ```text
 //! cargo run --release -p adept-bench --bin answer_digest > answers.txt
@@ -86,6 +89,18 @@ fn line(out: &mut String, case: &str, value: f64, plan: &DeploymentPlan, asg: &s
         plan.agent_count(),
         plan.server_count(),
         bfs(plan),
+    );
+}
+
+/// One platform's line: its node and site counts and its fingerprint,
+/// which hashes every host name, power and site and the network.
+fn platform_line(out: &mut String, name: &str, platform: &Platform) {
+    let _ = writeln!(
+        out,
+        "{name} platform | nodes={} sites={} | fingerprint={:016x}",
+        platform.node_count(),
+        platform.site_count(),
+        platform.fingerprint(),
     );
 }
 
@@ -395,6 +410,7 @@ fn main() -> Res {
         ("one-node-sites", one_node_sites()?),
     ];
     for (name, platform) in &small {
+        platform_line(&mut out, name, platform);
         single_service(&mut out, name, platform, &sizes, true)?;
         let fits: Vec<(&str, &ServiceMix)> = [two, three, heavy]
             .into_iter()
@@ -411,6 +427,7 @@ fn main() -> Res {
     // 10, 310 and 1000, the 1,000-node homogeneous cluster, and a latency
     // override; each sequential and threaded.
     let uniform_big = uniform_random_cluster("u", 6_000, MflopRate(50.0), MflopRate(800.0), 17);
+    platform_line(&mut out, "uniform-6000", &uniform_big);
     for size in [10, 310, 1000] {
         let svc = Dgemm::new(size).service();
         sweeps(
@@ -421,14 +438,10 @@ fn main() -> Res {
             None,
         )?;
     }
+    let lyon_big = lyon_cluster(1000);
+    platform_line(&mut out, "lyon-1000", &lyon_big);
     let svc = Dgemm::new(310).service();
-    sweeps(
-        &mut out,
-        "lyon-1000 dgemm-310",
-        &lyon_cluster(1000),
-        &svc,
-        None,
-    )?;
+    sweeps(&mut out, "lyon-1000 dgemm-310", &lyon_big, &svc, None)?;
     let (_, uniform) = &small[2];
     let latency = ModelParams::from_platform(uniform).with_latency(Seconds(1e-4));
     for size in sizes {
@@ -445,19 +458,23 @@ fn main() -> Res {
     // Coarsened lists: a flat cluster past the coarsening threshold, and
     // grids whose sites are.
     let hetero_big = hetero(20_000, 3);
+    platform_line(&mut out, "hetero-20000", &hetero_big);
     single_service(&mut out, "hetero-20000", &hetero_big, &[100, 310], false)?;
     mixes(&mut out, "hetero-20000", &hetero_big, &[two], true)?;
     let catalog = grid(2, 5_000, 10.0, 7);
+    platform_line(&mut out, "grid-2x5000", &catalog);
     single_service(&mut out, "grid-2x5000", &catalog, &[100, 310], false)?;
     mixes(&mut out, "grid-2x5000", &catalog, &[three, heavy], false)?;
     mixes(&mut out, "grid-2x5000", &catalog, &[two], true)?;
     revisions(&mut out, "grid-2x5000", &catalog, &[two, three])?;
     let grid_big = grid(4, 6_000, 10.0, 13);
+    platform_line(&mut out, "grid-4x6000", &grid_big);
     single_service(&mut out, "grid-4x6000", &grid_big, &[310], true)?;
     mixes(&mut out, "grid-4x6000", &grid_big, &[two], true)?;
 
     // The benchmark pipeline's 10⁶-node grid.
     let pipeline = grid(4, 250_000, 10.0, 0x5eed);
+    platform_line(&mut out, "grid-4x250000", &pipeline);
     single_service(&mut out, "grid-4x250000", &pipeline, &[310], false)?;
     mixes(&mut out, "grid-4x250000", &pipeline, &[three], false)?;
 

@@ -10,8 +10,9 @@
 
 use crate::calibration::MiddlewareCalibration;
 use crate::error::PlatformError;
+use crate::generator::host_name;
 use crate::network::Network;
-use crate::platform::{Platform, PlatformBuilder};
+use crate::platform::{NodeSpec, Platform};
 use crate::resource::SiteId;
 use crate::units::{MbitRate, MflopRate, Seconds};
 
@@ -78,7 +79,8 @@ pub fn single_site(name: &str, max_nodes: Option<usize>) -> Result<Platform, Pla
         MiddlewareCalibration::reference_bandwidth(),
     ));
     let site_id = b.add_site(spec.name);
-    add_site_nodes(&mut b, spec, site_id, max_nodes)?;
+    let count = max_nodes.map_or(spec.nodes, |m| m.min(spec.nodes));
+    b.add_nodes(site_nodes(spec, site_id, count))?;
     b.build()
 }
 
@@ -104,28 +106,29 @@ pub fn multi_site(names: &[&str], inter_bandwidth: MbitRate) -> Result<Platform,
         inter: inter_bandwidth,
         latency: Seconds(5e-4), // metropolitan RTT scale
     });
-    for spec in specs {
-        let site_id = b.add_site(spec.name);
-        add_site_nodes(&mut b, spec, site_id, None)?;
-    }
+    // Every site first, then every node as one batch.
+    let sites: Vec<(&SiteSpec, SiteId)> = specs
+        .into_iter()
+        .map(|spec| (spec, b.add_site(spec.name)))
+        .collect();
+    b.add_nodes(
+        sites
+            .into_iter()
+            .flat_map(|(spec, site_id)| site_nodes(spec, site_id, spec.nodes)),
+    )?;
     b.build()
 }
 
-fn add_site_nodes(
-    b: &mut PlatformBuilder,
+/// The first `count` nodes of a catalog site, named
+/// `{host_prefix}-{i}.{name}`.
+fn site_nodes(
     spec: &SiteSpec,
     site_id: SiteId,
-    max_nodes: Option<usize>,
-) -> Result<(), PlatformError> {
-    let count = max_nodes.map_or(spec.nodes, |m| m.min(spec.nodes));
-    for i in 0..count {
-        b.add_node(
-            format!("{}-{i}.{}", spec.host_prefix, spec.name),
-            spec.node_power,
-            site_id,
-        )?;
-    }
-    Ok(())
+    count: usize,
+) -> impl Iterator<Item = NodeSpec> + '_ {
+    let prefix = format!("{}-", spec.host_prefix);
+    let suffix = format!(".{}", spec.name);
+    (0..count).map(move |i| (host_name(&prefix, i, &suffix), spec.node_power, site_id))
 }
 
 #[cfg(test)]

@@ -291,16 +291,22 @@ impl SessionConfig {
                 }),
             }
         };
+        // Integer settings take the wire's integer rule: a negative or
+        // fractional value is refused, 2⁶⁴ or more saturates.
+        let int = |key: &str, default: u64| match v.get(key) {
+            None => Ok(default),
+            Some(_) => u64_field(v, key),
+        };
         let cfg = SessionConfig {
             drift_threshold: num("drift_threshold", d.drift_threshold)?,
-            min_sustained: num("min_sustained", d.min_sustained as f64)? as u64,
-            cooldown_ticks: num("cooldown_ticks", d.cooldown_ticks as f64)? as u64,
+            min_sustained: int("min_sustained", d.min_sustained)?,
+            cooldown_ticks: int("cooldown_ticks", d.cooldown_ticks)?,
             demand_alpha: num("demand_alpha", d.demand_alpha)?,
             wapp_alpha: num("wapp_alpha", d.wapp_alpha)?,
             headroom: num("headroom", d.headroom)?,
-            max_changes: num("max_changes", d.max_changes as f64)? as u64,
+            max_changes: int("max_changes", d.max_changes)?,
             failure_probability: num("failure_probability", d.failure_probability)?,
-            failure_seed: num("failure_seed", d.failure_seed as f64)? as u64,
+            failure_seed: int("failure_seed", d.failure_seed)?,
         };
         if !(cfg.demand_alpha > 0.0 && cfg.demand_alpha <= 1.0) {
             return Err(ServeError::BadRequest(format!(
@@ -830,10 +836,35 @@ mod tests {
             "{\"drift_threshold\":-1}",
             "{\"max_changes\":0}",
             "{\"headroom\":\"lots\"}",
+            "{\"min_sustained\":-1}",
+            "{\"cooldown_ticks\":2.5}",
+            "{\"failure_seed\":-7}",
+            "{\"max_changes\":3.9}",
+            "{\"max_changes\":\"3\"}",
         ] {
             let parsed = SessionConfig::from_json(&Json::parse(bad).unwrap());
-            assert!(parsed.is_err(), "{bad} must be rejected");
+            assert!(
+                matches!(parsed, Err(ServeError::BadRequest(_))),
+                "{bad} must be a bad request, got {parsed:?}"
+            );
         }
+        // Integers are taken as they are, and 2⁶⁴ or more saturates.
+        let cfg = SessionConfig::from_json(
+            &Json::parse(
+                "{\"min_sustained\":0,\"cooldown_ticks\":1e20,\"max_changes\":3,\"failure_seed\":7}",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        assert_eq!(
+            (
+                cfg.min_sustained,
+                cfg.cooldown_ticks,
+                cfg.max_changes,
+                cfg.failure_seed
+            ),
+            (0, u64::MAX, 3, 7)
+        );
     }
 
     #[test]
