@@ -112,9 +112,10 @@ pub const CEILINGS: &[(&str, f64)] = &[
 /// the `big` id's mean under 3× the `small` one's. The revision path
 /// (`online_replan`, `control_loop`, `warm_replan/cold`) reads its
 /// spare nodes lazily, so a round on the 10⁵-node catalog costs about
-/// what it costs on the 10⁴-node one: 1.51×, 0.92× and 1.03× in one
-/// run on a 2-vCPU host. A round that sorts the whole catalog, as the
-/// reviser and GoDiet once did, read ~12×, ~11–14× and ~14–18× there.
+/// what it costs on the 10⁴-node one: 0.94–1.71×, 0.73–1.55× and
+/// 0.98–1.60× over six runs on a 2-vCPU host. A round that sorts the
+/// whole catalog, as the reviser and GoDiet once did, read 12.1–12.4×,
+/// 11.5–12.2× and 12.0–12.4× there (two runs).
 /// Both sides of each ratio come from the same run, so the rule holds on
 /// any host; the committed baseline's means, far above today's, would
 /// let such a round pass the ratio check.
