@@ -661,7 +661,7 @@ mod tests {
                     for total in 0..TOTALS {
                         let at = format!(
                             "{} k={k} agents={agents:?} total={total}",
-                            platform.nodes()[0].name
+                            platform.name(NodeId(0))
                         );
                         assert_eq!(
                             Waterfill::degrees_after(&params, &powers, total),

@@ -1127,7 +1127,7 @@ mod tests {
                 }
                 for &id in &on_site {
                     let node = platform.node(id).unwrap();
-                    b.add_node(node.name.clone(), node.power, node.site)
+                    b.add_node(platform.name(id), node.power, node.site)
                         .unwrap();
                 }
                 let single = b.build().unwrap();

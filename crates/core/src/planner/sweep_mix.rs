@@ -1662,7 +1662,7 @@ mod tests {
             }
             for &id in &platform.nodes_on_site(site) {
                 let node = platform.node(id).unwrap();
-                b.add_node(node.name.clone(), node.power, node.site)
+                b.add_node(platform.name(id), node.power, node.site)
                     .unwrap();
             }
             let single = b.build().unwrap();

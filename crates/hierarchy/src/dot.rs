@@ -13,8 +13,8 @@ pub fn to_dot(plan: &DeploymentPlan, platform: Option<&Platform>) -> String {
     out.push_str("digraph deployment {\n  rankdir=TB;\n  node [fontsize=10];\n");
     for slot in plan.slots() {
         let node = plan.node(slot);
-        let label = match platform.and_then(|p| p.node(node).ok()) {
-            Some(r) => format!("{}\\n{} MFlop/s", r.name, r.power.value()),
+        let label = match platform.filter(|p| p.node(node).is_ok()) {
+            Some(p) => format!("{}\\n{} MFlop/s", p.name(node), p.power(node).value()),
             None => format!("{node}"),
         };
         let shape = match plan.role(slot) {
@@ -71,5 +71,28 @@ mod tests {
         let dot = to_dot(&plan, Some(&platform));
         assert!(dot.contains("lyon-0"));
         assert!(dot.contains("400 MFlop/s"));
+    }
+
+    #[test]
+    fn dot_labels_carry_each_nodes_host_name() {
+        let platform =
+            adept_platform::catalog::multi_site(&["lyon", "orsay"], adept_platform::MbitRate(20.0))
+                .unwrap();
+        let picked = [NodeId(0), NodeId(55), NodeId(56), NodeId(271)];
+        let plan = star(&picked);
+        let dot = to_dot(&plan, Some(&platform));
+        for (id, name) in picked.into_iter().zip([
+            "sagittaire-0.lyon",
+            "sagittaire-55.lyon",
+            "gdx-0.orsay",
+            "gdx-215.orsay",
+        ]) {
+            let power = platform.power(id).value();
+            let label = format!("n{} [label=\"{name}\\n{power} MFlop/s\"", id.0);
+            assert!(dot.contains(&label), "{label} missing from\n{dot}");
+        }
+        // An id outside the platform keeps its bare label.
+        let dot = to_dot(&star(&[NodeId(0), NodeId(400)]), Some(&platform));
+        assert!(dot.contains("n400 [label=\"n400\""));
     }
 }

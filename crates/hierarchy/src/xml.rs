@@ -120,12 +120,12 @@ pub fn write_xml(plan: &DeploymentPlan, platform: Option<&Platform>) -> String {
     let mut nodes: Vec<NodeId> = plan.slots().map(|s| plan.node(s)).collect();
     nodes.sort_unstable();
     for id in &nodes {
-        match platform.and_then(|p| p.node(*id).ok()) {
-            Some(r) => out.push_str(&format!(
+        match platform.filter(|p| p.node(*id).is_ok()) {
+            Some(p) => out.push_str(&format!(
                 "    <node id=\"{}\" name=\"{}\" power=\"{}\"/>\n",
                 id.0,
-                escape(&r.name),
-                r.power.value()
+                escape(p.name(*id)),
+                p.power(*id).value()
             )),
             None => out.push_str(&format!("    <node id=\"{}\"/>\n", id.0)),
         }

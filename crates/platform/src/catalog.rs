@@ -10,7 +10,7 @@
 
 use crate::calibration::MiddlewareCalibration;
 use crate::error::PlatformError;
-use crate::generator::host_name;
+use crate::generator::{host_name, HostName};
 use crate::network::Network;
 use crate::platform::{NodeSpec, Platform};
 use crate::resource::SiteId;
@@ -80,7 +80,8 @@ pub fn single_site(name: &str, max_nodes: Option<usize>) -> Result<Platform, Pla
     ));
     let site_id = b.add_site(spec.name);
     let count = max_nodes.map_or(spec.nodes, |m| m.min(spec.nodes));
-    b.add_nodes(site_nodes(spec, site_id, count))?;
+    let affixes = HostAffixes::of(spec);
+    b.add_nodes(affixes.nodes(spec, site_id, count))?;
     b.build()
 }
 
@@ -107,33 +108,49 @@ pub fn multi_site(names: &[&str], inter_bandwidth: MbitRate) -> Result<Platform,
         latency: Seconds(5e-4), // metropolitan RTT scale
     });
     // Every site first, then every node as one batch.
-    let sites: Vec<(&SiteSpec, SiteId)> = specs
+    let sites: Vec<(&SiteSpec, SiteId, HostAffixes)> = specs
         .into_iter()
-        .map(|spec| (spec, b.add_site(spec.name)))
+        .map(|spec| (spec, b.add_site(spec.name), HostAffixes::of(spec)))
         .collect();
     b.add_nodes(
         sites
-            .into_iter()
-            .flat_map(|(spec, site_id)| site_nodes(spec, site_id, spec.nodes)),
+            .iter()
+            .flat_map(|(spec, site_id, affixes)| affixes.nodes(spec, *site_id, spec.nodes)),
     )?;
     b.build()
 }
 
-/// The first `count` nodes of a catalog site, named
-/// `{host_prefix}-{i}.{name}`.
-fn site_nodes(
-    spec: &SiteSpec,
-    site_id: SiteId,
-    count: usize,
-) -> impl Iterator<Item = NodeSpec> + '_ {
-    let prefix = format!("{}-", spec.host_prefix);
-    let suffix = format!(".{}", spec.name);
-    (0..count).map(move |i| (host_name(&prefix, i, &suffix), spec.node_power, site_id))
+/// A catalog site's host names are `{host_prefix}-{i}.{name}`: the text
+/// around the index, built once per site and lent to every name.
+struct HostAffixes {
+    prefix: String,
+    suffix: String,
+}
+
+impl HostAffixes {
+    fn of(spec: &SiteSpec) -> Self {
+        Self {
+            prefix: format!("{}-", spec.host_prefix),
+            suffix: format!(".{}", spec.name),
+        }
+    }
+
+    /// The first `count` nodes of the site.
+    fn nodes<'a>(
+        &'a self,
+        spec: &SiteSpec,
+        site_id: SiteId,
+        count: usize,
+    ) -> impl Iterator<Item = NodeSpec<HostName<'a>>> + 'a {
+        let power = spec.node_power;
+        (0..count).map(move |i| (host_name(&self.prefix, i, &self.suffix), power, site_id))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NodeId;
 
     #[test]
     fn catalog_is_consistent() {
@@ -151,7 +168,7 @@ mod tests {
         let p = single_site("lyon", None).unwrap();
         assert_eq!(p.node_count(), 56);
         assert!(p.is_homogeneous_compute());
-        assert!(p.nodes()[0].name.starts_with("sagittaire-0"));
+        assert!(p.name(NodeId(0)).starts_with("sagittaire-0"));
     }
 
     #[test]
@@ -193,7 +210,10 @@ mod tests {
     #[test]
     fn multi_site_names_are_qualified() {
         let p = multi_site(&["rennes", "toulouse"], MbitRate(50.0)).unwrap();
-        assert!(p.nodes().iter().any(|n| n.name.ends_with(".rennes")));
-        assert!(p.nodes().iter().any(|n| n.name.ends_with(".toulouse")));
+        assert!(p.nodes().iter().any(|n| p.name(n.id).ends_with(".rennes")));
+        assert!(p
+            .nodes()
+            .iter()
+            .any(|n| p.name(n.id).ends_with(".toulouse")));
     }
 }

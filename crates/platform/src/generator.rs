@@ -25,6 +25,7 @@
 // sets with names it mints itself, so build() and uniqueness expects cannot
 // fail")
 use crate::calibration::{CapacityProbe, MiddlewareCalibration};
+use crate::names::WriteName;
 use crate::network::Network;
 use crate::platform::Platform;
 use crate::resource::SiteId;
@@ -70,34 +71,53 @@ const DIGIT_PAIRS: &str = "\
     8081828384858687888990919293949596979899";
 
 /// `prefix`, then `index` in decimal, then `suffix`: the name
-/// `format!("{prefix}{index}{suffix}")` gives, minted two digits at a
-/// time without the formatting machinery: 10⁶ names took 23–37 ms
-/// against 44–69 ms with `format!` (9 rounds, 2-vCPU x86-64 host).
-pub(crate) fn host_name(prefix: &str, index: usize, suffix: &str) -> String {
-    let pair = |limb: usize| &DIGIT_PAIRS[2 * limb..2 * limb + 2];
-    // `index` in base 100, least significant limb first; `rest` ends as
-    // the leading limb.
-    let mut limbs = [0usize; 10];
-    let mut len = 0;
-    let mut rest = index;
-    while rest >= 100 {
-        limbs[len] = rest % 100;
-        rest /= 100;
-        len += 1;
+/// `format!("{prefix}{index}{suffix}")` gives, as a small value that the
+/// builder writes straight into the platform's name buffer, so minting a
+/// catalog allocates no `String` per name.
+pub(crate) fn host_name<'a>(prefix: &'a str, index: usize, suffix: &'a str) -> HostName<'a> {
+    HostName {
+        prefix,
+        index,
+        suffix,
     }
-    let lead = if rest < 10 {
-        &pair(rest)[1..]
-    } else {
-        pair(rest)
-    };
-    let mut name = String::with_capacity(prefix.len() + lead.len() + 2 * len + suffix.len());
-    name.push_str(prefix);
-    name.push_str(lead);
-    for &limb in limbs[..len].iter().rev() {
-        name.push_str(pair(limb));
+}
+
+/// A host name minted by [`host_name`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HostName<'a> {
+    prefix: &'a str,
+    index: usize,
+    suffix: &'a str,
+}
+
+impl WriteName for HostName<'_> {
+    /// Writes the index two digits at a time, without the formatting
+    /// machinery: 10⁶ names took 23–37 ms against 44–69 ms with
+    /// `format!` (9 rounds, 2-vCPU x86-64 host).
+    fn write_to(self, buf: &mut String) {
+        let pair = |limb: usize| &DIGIT_PAIRS[2 * limb..2 * limb + 2];
+        // `index` in base 100, least significant limb first; `rest` ends
+        // as the leading limb.
+        let mut limbs = [0usize; 10];
+        let mut len = 0;
+        let mut rest = self.index;
+        while rest >= 100 {
+            limbs[len] = rest % 100;
+            rest /= 100;
+            len += 1;
+        }
+        let lead = if rest < 10 {
+            &pair(rest)[1..]
+        } else {
+            pair(rest)
+        };
+        buf.push_str(self.prefix);
+        buf.push_str(lead);
+        for &limb in limbs[..len].iter().rev() {
+            buf.push_str(pair(limb));
+        }
+        buf.push_str(self.suffix);
     }
-    name.push_str(suffix);
-    name
 }
 
 /// A Lyon-like reference cluster: `n` nodes at the paper's reference power.
@@ -236,10 +256,11 @@ pub fn multi_site_grid(
         latency: crate::units::Seconds::ZERO,
     });
     // Every site first, then every node as one batch, so the builder
-    // sizes its name index once for the whole grid.
+    // sizes its key set once for the whole grid.
     let site_ids: Vec<(SiteId, String)> = (0..sites)
         .map(|s| (b.add_site(format!("site-{s}")), format!("site-{s}-n")))
         .collect();
+    let site_ids = &site_ids;
     b.add_nodes((0..sites * nodes_per_site).map(|k| {
         let (site, prefix) = &site_ids[k / nodes_per_site];
         let background = if coin.sample(&mut rng) < 0.25 {
@@ -307,10 +328,16 @@ mod tests {
             indices.extend([p - 1, p, p + 1, p + p / 3]);
         }
         indices.push(usize::MAX);
+        let minted = |prefix, i, suffix| {
+            // Written after other text, as a batch writes each name.
+            let mut buf = String::from("before|");
+            host_name(prefix, i, suffix).write_to(&mut buf);
+            buf.split_off("before|".len())
+        };
         for i in indices {
-            assert_eq!(host_name("site-3-n", i, ""), format!("site-3-n{i}"));
-            assert_eq!(host_name("gdx-", i, ".orsay"), format!("gdx-{i}.orsay"));
-            assert_eq!(host_name("", i, ""), i.to_string());
+            assert_eq!(minted("site-3-n", i, ""), format!("site-3-n{i}"));
+            assert_eq!(minted("gdx-", i, ".orsay"), format!("gdx-{i}.orsay"));
+            assert_eq!(minted("", i, ""), i.to_string());
         }
     }
 

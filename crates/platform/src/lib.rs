@@ -36,6 +36,7 @@ pub mod calibration;
 pub mod catalog;
 pub mod error;
 pub mod generator;
+mod names;
 pub mod network;
 pub mod platform;
 pub mod ranking;

@@ -1,12 +1,14 @@
 //! The aggregate platform: resources + sites + network.
 
 use crate::error::PlatformError;
+use crate::names::{HostNames, WriteName};
 use crate::network::Network;
 use crate::ranking::{self, NodeRanking};
 use crate::resource::{NodeId, Resource, Site, SiteId};
 use crate::spare::SiteOrder;
 use crate::units::{MbitRate, MflopRate};
-use std::collections::hash_map::{Entry, HashMap, RandomState};
+use std::collections::hash_map::RandomState;
+use std::collections::HashSet;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 
@@ -17,6 +19,8 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone)]
 pub struct Platform {
     nodes: Vec<Resource>,
+    /// Every node's host name, indexed by node id.
+    names: HostNames,
     sites: Vec<Site>,
     network: Network,
     /// [`fingerprint`](Platform::fingerprint), stored by its first call.
@@ -31,58 +35,61 @@ pub struct Platform {
     site_order: OnceLock<SiteOrder>,
 }
 
-/// Structural equality over nodes, sites and network. The stored
+/// Structural equality over nodes, host names, sites and network. The stored
 /// fingerprint, site table and site order are left out, so a hashed
 /// platform equals an unhashed copy of itself.
 impl PartialEq for Platform {
     fn eq(&self, other: &Self) -> bool {
-        self.nodes == other.nodes && self.sites == other.sites && self.network == other.network
+        self.nodes == other.nodes
+            && self.names == other.names
+            && self.sites == other.sites
+            && self.network == other.network
     }
 }
 
 /// Builder for [`Platform`], enforcing name uniqueness and id density.
 ///
-/// Duplicate host names are found through a 64-bit keyed hash of each
-/// name, indexed to the node that holds it, so every name is stored once:
-/// in its node.
+/// Every host name is written once, straight into the platform's one name
+/// buffer (see [`Platform::name`]). Duplicates are found through a set of
+/// the names' 64-bit keyed hashes: a hash already in the set sends the
+/// builder back over the earlier names, which happens only for a true
+/// duplicate or a 64-bit collision.
 ///
 /// Nodes arrive in batches: [`add_node`](PlatformBuilder::add_node) is a
 /// batch of one, and the generators and the catalog loader add a whole
 /// platform as one batch. A batch takes two passes:
 ///
 /// 1. push every node (checking its site, and its power through
-///    [`Resource::new`]), moving each name into its node;
-/// 2. hash the batch's names into one vector, size the index for the
-///    batch once, then insert the hashes back to back.
+///    [`Resource::new`]), writing each name into the buffer;
+/// 2. hash the batch's names into one vector, size the set for the batch
+///    once, then insert the hashes back to back.
 ///
-/// Interleaving one index insert with each node, as `add_node` called in
-/// a loop does, cost ~185–310 ns per node at 10⁶ nodes on a 2-vCPU
-/// x86-64 host: each insert waits on its own cache miss, and the index
-/// rehashes every key each time it grows. The same 10⁶ inserts back to
-/// back over precomputed hashes, into an index sized once, took 30–53 ms
-/// there on warm pages and 47–85 ms on a new index's fresh pages. Sizing
-/// once also never holds an old and a new table at the same time: a
-/// process that only generates the 4 × 250,000 grid peaks at 112 MiB,
-/// against 116 MiB with a growing index (the built platform holds
-/// 71 MiB).
+/// Interleaving one key insert with each node, as `add_node` called in a
+/// loop does, costs ~320–390 ns per node at 10⁶ nodes on a 2-vCPU x86-64
+/// host: each insert waits on its own cache miss, and the set rehashes
+/// every key each time it grows. The same 10⁶ inserts back to back over
+/// precomputed hashes, into a set sized once, took 26–42 ms there. Sizing
+/// once also never holds an old and a new table at the same time. A
+/// process that only generates the 4 × 250,000 grid peaks at ~63 MiB, of
+/// which the built platform holds ~38 MiB: 16 MB of nodes, ~14 MB of
+/// names and 8 MB of name offsets. With a `String` per node and an index
+/// of hash → node id it peaked at ~112 MiB and kept ~71 MiB.
 #[derive(Debug)]
 pub struct PlatformBuilder {
     nodes: Vec<Resource>,
+    names: HostNames,
     sites: Vec<Site>,
     /// The randomly keyed SipHash every host name is hashed with, so no
     /// one can pick names that collide.
-    names: RandomState,
-    /// Hash of a host name → the first node whose name produced it. Keyed
-    /// by hash, not by a copy of the name: at 10⁶ nodes, `build()` freeing
-    /// a million small copies, each lying between two live names, leaves
-    /// a fragmented heap that whatever allocates next pays for (measured
-    /// at several hundred ms on glibc). The key is already a keyed hash,
-    /// so the index uses it as its own hash instead of hashing it again.
-    first_with_hash: HashMap<u64, NodeId, BuildHasherDefault<KeyIsHash>>,
+    hasher: RandomState,
+    /// The keyed hash of every name added so far: 8 bytes per node, and
+    /// no copy of any name. The key is already a keyed hash, so the set
+    /// uses it as its own hash instead of hashing it again.
+    keys: HashSet<u64, BuildHasherDefault<KeyIsHash>>,
     network: Network,
 }
 
-/// The [`Hasher`] of the builder's index, whose keys are already keyed
+/// The [`Hasher`] of the builder's key set, whose keys are already keyed
 /// hashes: it hands a `u64` key back as its own hash.
 #[derive(Debug, Default)]
 struct KeyIsHash(u64);
@@ -107,16 +114,17 @@ impl Hasher for KeyIsHash {
 
 /// One node of a batch: host name, power and site, as
 /// [`PlatformBuilder::add_node`] takes them.
-pub(crate) type NodeSpec = (String, MflopRate, SiteId);
+pub(crate) type NodeSpec<N> = (N, MflopRate, SiteId);
 
 impl PlatformBuilder {
     /// Starts a platform with the given network model.
     pub fn new(network: Network) -> Self {
         Self {
             nodes: Vec::new(),
+            names: HostNames::default(),
             sites: Vec::new(),
-            names: RandomState::new(),
-            first_with_hash: HashMap::default(),
+            hasher: RandomState::new(),
+            keys: HashSet::default(),
             network,
         }
     }
@@ -142,12 +150,12 @@ impl PlatformBuilder {
     /// [`Resource::new`] does.
     pub fn add_node(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         power: MflopRate,
         site: SiteId,
     ) -> Result<NodeId, PlatformError> {
         let id = NodeId(self.nodes.len() as u32);
-        self.add_nodes(std::iter::once((name.into(), power, site)))?;
+        self.add_nodes(std::iter::once((name.as_ref(), power, site)))?;
         Ok(id)
     }
 
@@ -165,13 +173,14 @@ impl PlatformBuilder {
     /// Panics, as [`Resource::new`] does, on a node pushed with a power
     /// that is not positive and finite. Every node up to the first
     /// unknown site is pushed before any name is checked.
-    pub(crate) fn add_nodes(
+    pub(crate) fn add_nodes<N: WriteName>(
         &mut self,
-        batch: impl IntoIterator<Item = NodeSpec>,
+        batch: impl IntoIterator<Item = NodeSpec<N>>,
     ) -> Result<(), PlatformError> {
         let start = self.nodes.len();
         let batch = batch.into_iter();
         self.nodes.reserve(batch.size_hint().0);
+        self.names.reserve(batch.size_hint().0);
         let mut refusal = None;
         for (name, power, site) in batch {
             if site.index() >= self.sites.len() {
@@ -179,53 +188,50 @@ impl PlatformBuilder {
                 break;
             }
             let id = NodeId(self.nodes.len() as u32);
-            self.nodes.push(Resource::new(id, name, power, site));
+            self.nodes.push(Resource::new(id, power, site));
+            self.names.push(name);
         }
-        let names = &self.names;
-        let hashes: Vec<u64> = self.nodes[start..]
-            .iter()
-            .map(|n| names.hash_one(&n.name))
+        let hasher = &self.hasher;
+        let hashes: Vec<u64> = self
+            .names
+            .iter_from(start)
+            .map(|name| hasher.hash_one(name))
             .collect();
-        self.first_with_hash.reserve(hashes.len());
-        for (at, &hash) in (start..).zip(&hashes) {
-            match self.first_with_hash.entry(hash) {
-                Entry::Vacant(slot) => {
-                    slot.insert(NodeId(at as u32));
+        self.keys.reserve(hashes.len());
+        // How many of `hashes` were offered to the set, and which of
+        // those an earlier name already held (64-bit collisions).
+        let mut offered = hashes.len();
+        let mut held = Vec::new();
+        for (k, &hash) in hashes.iter().enumerate() {
+            if !self.keys.insert(hash) {
+                let at = start + k;
+                let name = self.names.get(at);
+                if self
+                    .names
+                    .iter_from(0)
+                    .take(at)
+                    .any(|earlier| earlier == name)
+                {
+                    // This node precedes any unknown site, so its
+                    // refusal is the one to report.
+                    refusal = Some(PlatformError::DuplicateName(name.to_owned()));
+                    offered = k;
+                    break;
                 }
-                Entry::Occupied(first) => {
-                    // Every node with this name hashes alike, so none
-                    // precedes `first`. A duplicate of `first` stops at
-                    // the first element; only a true 64-bit collision
-                    // scans further.
-                    let (earlier, rest) = self.nodes.split_at_mut(at);
-                    let name = &mut rest[0].name;
-                    if earlier[first.get().index()..]
-                        .iter()
-                        .any(|n| n.name == *name)
-                    {
-                        // This node precedes any unknown site, so its
-                        // refusal is the one to report.
-                        refusal = Some(PlatformError::DuplicateName(std::mem::take(name)));
-                        break;
-                    }
-                }
+                held.push(k);
             }
         }
         let Some(refusal) = refusal else {
             return Ok(());
         };
-        // Keys inserted by this batch map to its own ids; keys of earlier
-        // nodes stay.
-        for hash in hashes {
-            if self
-                .first_with_hash
-                .get(&hash)
-                .is_some_and(|id| id.index() >= start)
-            {
-                self.first_with_hash.remove(&hash);
+        // Remove the keys this batch inserted; keys held before it stay.
+        for (k, hash) in hashes[..offered].iter().enumerate() {
+            if !held.contains(&k) {
+                self.keys.remove(hash);
             }
         }
         self.nodes.truncate(start);
+        self.names.truncate(start);
         Err(refusal)
     }
 
@@ -239,6 +245,7 @@ impl PlatformBuilder {
         }
         Ok(Platform {
             nodes: self.nodes,
+            names: self.names,
             sites: self.sites,
             network: self.network,
             fingerprint: OnceLock::new(),
@@ -273,6 +280,17 @@ impl Platform {
     /// Number of registered sites.
     pub fn site_count(&self) -> usize {
         self.sites.len()
+    }
+
+    /// Host name of a node: the name a GoDIET descriptor and a DOT label
+    /// carry. Every name lives in one buffer the platform owns, so a
+    /// catalog of 10⁶ nodes holds one allocation for its names, not 10⁶.
+    ///
+    /// # Panics
+    /// Panics on an unknown id; planners only hold ids handed out by this
+    /// platform.
+    pub fn name(&self, id: NodeId) -> &str {
+        self.names.get(id.index())
     }
 
     /// Site of a node.
@@ -446,8 +464,8 @@ impl Platform {
         }
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         h.u64(self.nodes.len() as u64);
-        for n in &self.nodes {
-            h.str(&n.name);
+        for (n, name) in self.nodes.iter().zip(self.names.iter_from(0)) {
+            h.str(name);
             h.f64(n.power.value());
             h.u64(u64::from(n.site.0));
         }
@@ -505,17 +523,18 @@ impl Platform {
         }
         let ids = self.ids_by_power_desc();
         let mut nodes = Vec::with_capacity(k);
+        let mut names = HostNames::default();
+        names.reserve(k);
         for (new_idx, id) in ids.into_iter().take(k).enumerate() {
-            let src = &self.nodes[id.index()];
-            nodes.push(Resource::new(
-                NodeId(new_idx as u32),
-                src.name.clone(),
-                src.power,
-                src.site,
-            ));
+            nodes.push(Resource {
+                id: NodeId(new_idx as u32),
+                ..self.nodes[id.index()]
+            });
+            names.push(self.name(id));
         }
         Ok(Platform {
             nodes,
+            names,
             sites: self.sites.clone(),
             network: self.network.clone(),
             fingerprint: OnceLock::new(),
@@ -580,7 +599,7 @@ mod tests {
             accept(&mut b, format!("{name}/after"));
         }
         let p = b.build().unwrap();
-        let built: Vec<&str> = p.nodes().iter().map(|n| n.name.as_str()).collect();
+        let built: Vec<&str> = p.nodes().iter().map(|n| p.name(n.id)).collect();
         assert_eq!(built, accepted);
         assert!(p.nodes().iter().enumerate().all(|(i, n)| n.id.index() == i));
     }
@@ -635,9 +654,9 @@ mod tests {
     fn take_most_powerful_reindexes() {
         let p = sample().take_most_powerful(2).unwrap();
         assert_eq!(p.node_count(), 2);
-        assert_eq!(p.nodes()[0].name, "b");
+        assert_eq!(p.name(NodeId(0)), "b");
         assert_eq!(p.nodes()[0].id, NodeId(0));
-        assert_eq!(p.nodes()[1].name, "c");
+        assert_eq!(p.name(NodeId(1)), "c");
         assert_eq!(p.nodes()[1].id, NodeId(1));
     }
 
@@ -734,15 +753,52 @@ mod tests {
         }
     }
 
-    /// The builder's state as the batch path may change it: nodes, sites
-    /// and the name index (sorted, since the map's order is arbitrary).
-    type BuilderState = (Vec<Resource>, Vec<Site>, Vec<(u64, NodeId)>);
+    /// The builder's state as the batch path may change it: nodes, the
+    /// name buffer, sites and the key set (sorted, since the set's order
+    /// is arbitrary).
+    type BuilderState = (Vec<Resource>, HostNames, Vec<Site>, Vec<u64>);
 
     fn state(b: &PlatformBuilder) -> BuilderState {
-        let mut index: Vec<(u64, NodeId)> =
-            b.first_with_hash.iter().map(|(&h, &id)| (h, id)).collect();
-        index.sort_unstable();
-        (b.nodes.clone(), b.sites.clone(), index)
+        let mut keys: Vec<u64> = b.keys.iter().copied().collect();
+        keys.sort_unstable();
+        (b.nodes.clone(), b.names.clone(), b.sites.clone(), keys)
+    }
+
+    /// A hash already in the set sends the builder back over the earlier
+    /// names; finding none there, it accepts the name (a 64-bit
+    /// collision, planted here by hand), and a refused batch keeps the
+    /// key the set held before it.
+    #[test]
+    fn a_repeated_hash_without_a_repeated_name_is_accepted() {
+        let mut b = Platform::builder(Network::homogeneous(MbitRate(1.0)));
+        let s = b.add_site("x");
+        b.add_node("a", MflopRate(1.0), s).unwrap();
+        for planted in ["b", "c"] {
+            let hash = b.hasher.hash_one(planted);
+            b.keys.insert(hash);
+        }
+        b.add_nodes([("b", MflopRate(1.0), s), ("d", MflopRate(1.0), s)])
+            .unwrap();
+        let before = state(&b);
+        let refused = [
+            ("c", MflopRate(1.0), s),
+            ("e", MflopRate(1.0), s),
+            ("f", MflopRate(1.0), SiteId(7)),
+        ];
+        assert_eq!(
+            b.add_nodes(refused),
+            Err(PlatformError::UnknownSite(SiteId(7)))
+        );
+        assert!(state(&b) == before, "the planted key of c stays");
+        let duplicate = [("c", MflopRate(1.0), s), ("d", MflopRate(1.0), s)];
+        assert_eq!(
+            b.add_nodes(duplicate),
+            Err(PlatformError::DuplicateName("d".into()))
+        );
+        assert!(state(&b) == before);
+        let p = b.build().unwrap();
+        let names: Vec<&str> = p.nodes().iter().map(|n| p.name(n.id)).collect();
+        assert_eq!(names, ["a", "b", "d"]);
     }
 
     /// One node of a generated call: how its name is picked (`0..7` a
@@ -836,11 +892,11 @@ mod tests {
                     let before = state(&b);
                     let want = reference(&accepted, &call, SITES);
                     let got = if let [(name, power, site)] = call.as_slice() {
-                        b.add_node(name.clone(), *power, *site).map(|id| {
+                        b.add_node(name, *power, *site).map(|id| {
                             assert_eq!(id.index(), before.0.len(), "the next dense id");
                         })
                     } else {
-                        b.add_nodes(call.clone())
+                        b.add_nodes(call.iter().map(|(name, power, site)| (name.as_str(), *power, *site)))
                     };
                     prop_assert_eq!(got, want);
                     if got.is_err() {
@@ -855,19 +911,21 @@ mod tests {
                         b.nodes.iter().enumerate().all(|(i, n)| n.id.index() == i),
                         "ids stay dense"
                     );
-                    // One key per node (a 64-bit collision is out of
-                    // reach of a few hundred names), each the keyed hash
-                    // of the name of the node it points to.
-                    prop_assert_eq!(b.first_with_hash.len(), b.nodes.len());
-                    prop_assert!(b.first_with_hash.iter().all(|(&hash, id)| {
-                        b.names.hash_one(&b.nodes[id.index()].name) == hash
-                    }));
+                    // One name and one key per node (a 64-bit collision
+                    // is out of reach of a few hundred names): the keys
+                    // are the keyed hashes of the names.
+                    prop_assert_eq!(b.names.len(), b.nodes.len());
+                    let mut hashes: Vec<u64> =
+                        b.names.iter_from(0).map(|name| b.hasher.hash_one(name)).collect();
+                    hashes.sort_unstable();
+                    prop_assert_eq!(&hashes, &state(&b).3);
                 }
             }
             if names.is_empty() {
                 prop_assert_eq!(b.build().unwrap_err(), PlatformError::Empty);
             } else {
-                let built: Vec<String> = b.build().unwrap().nodes.into_iter().map(|n| n.name).collect();
+                let p = b.build().unwrap();
+                let built: Vec<&str> = p.nodes().iter().map(|n| p.name(n.id)).collect();
                 prop_assert_eq!(built, names);
             }
         }

@@ -2,9 +2,10 @@
 //!
 //! A node corresponds to one machine of the paper's testbed (one Grid'5000
 //! node). Its only model-relevant attribute is its computing power `w_i`
-//! in MFlop/s; name and site are carried for reporting and for the
-//! multi-site experiments (Section 5.3 uses Orsay nodes for the middleware
-//! and Lyon nodes for the clients).
+//! in MFlop/s; its site is carried for the multi-site experiments
+//! (Section 5.3 uses Orsay nodes for the middleware and Lyon nodes for the
+//! clients). Host names live in the [`Platform`](crate::Platform), read
+//! through [`Platform::name`](crate::Platform::name).
 
 use crate::units::MflopRate;
 use std::fmt;
@@ -58,13 +59,13 @@ pub struct Site {
     pub name: String,
 }
 
-/// One compute resource.
-#[derive(Debug, Clone, PartialEq)]
+/// One compute resource: 16 bytes, so the planners' O(n) passes over a
+/// catalog read little memory. Its host name is
+/// [`Platform::name`](crate::Platform::name).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Resource {
     /// Dense node identifier within the platform.
     pub id: NodeId,
-    /// Host name, used in GoDIET XML output and reports.
-    pub name: String,
     /// Computing power `w_i` (MFlop/s) as measured by the capacity probe.
     pub power: MflopRate,
     /// The site this node belongs to.
@@ -78,23 +79,18 @@ impl Resource {
     /// Panics if `power` is not a positive finite value; resources with no
     /// computing power cannot appear in any of the paper's formulas (they
     /// divide by `w_i`).
-    pub fn new(id: NodeId, name: impl Into<String>, power: MflopRate, site: SiteId) -> Self {
+    pub fn new(id: NodeId, power: MflopRate, site: SiteId) -> Self {
         assert!(
             power.value().is_finite() && power.value() > 0.0,
             "resource power must be positive and finite, got {power}"
         );
-        Self {
-            id,
-            name: name.into(),
-            power,
-            site,
-        }
+        Self { id, power, site }
     }
 }
 
 impl fmt::Display for Resource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({}, {})", self.name, self.id, self.power)
+        write!(f, "{} ({})", self.id, self.power)
     }
 }
 
@@ -104,22 +100,27 @@ mod tests {
 
     #[test]
     fn resource_construction() {
-        let r = Resource::new(NodeId(3), "gdx-42", MflopRate(850.0), SiteId(0));
+        let r = Resource::new(NodeId(3), MflopRate(850.0), SiteId(0));
         assert_eq!(r.id.index(), 3);
-        assert_eq!(r.name, "gdx-42");
         assert_eq!(r.power, MflopRate(850.0));
+        assert_eq!(r.to_string(), format!("n3 ({})", MflopRate(850.0)));
+    }
+
+    #[test]
+    fn resource_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Resource>(), 16);
     }
 
     #[test]
     #[should_panic(expected = "power must be positive")]
     fn zero_power_rejected() {
-        let _ = Resource::new(NodeId(0), "bad", MflopRate(0.0), SiteId(0));
+        let _ = Resource::new(NodeId(0), MflopRate(0.0), SiteId(0));
     }
 
     #[test]
     #[should_panic(expected = "power must be positive")]
     fn nan_power_rejected() {
-        let _ = Resource::new(NodeId(0), "bad", MflopRate(f64::NAN), SiteId(0));
+        let _ = Resource::new(NodeId(0), MflopRate(f64::NAN), SiteId(0));
     }
 
     #[test]

@@ -8,10 +8,14 @@
 //! what each executed round did.
 //!
 //! The write discipline is **write-ahead**: an input record is appended
-//! and flushed *before* the controller consumes it, and the wire
-//! response is sent only after the round (and its `migration` record,
-//! if any) is durable. A daemon killed at any point therefore loses at
-//! most the one tick whose response was never acknowledged.
+//! and flushed to the OS *before* the controller consumes it, and the
+//! wire response is sent only after the round's records (its
+//! `migration` record too, if any) are flushed. A daemon process killed
+//! at any point therefore loses at most the one tick whose response was
+//! never acknowledged. Nothing calls `fsync`: an acknowledged tick
+//! survives a killed daemon but not an OS crash or a power loss, which
+//! can drop records still in the page cache (syncing is ROADMAP
+//! direction 4).
 //!
 //! Resume is **deterministic replay**: the whole stack underneath —
 //! planner, reviser, and GoDiet's seeded failure injection — is

@@ -40,7 +40,12 @@
 //! ([`JournalError::FingerprintMismatch`], via
 //! [`Platform::fingerprint`](adept_platform::Platform::fingerprint)),
 //! and interior corruption — while tolerating exactly the damage a
-//! crash can cause: a truncated final line, one unacknowledged tick.
+//! killed daemon can cause: a truncated final line, one unacknowledged
+//! tick.
+//!
+//! A journal append is flushed to the OS, never synced to disk, so an
+//! acknowledged tick survives a killed daemon but not an OS crash or a
+//! power loss (syncing is ROADMAP direction 4).
 //!
 //! # Concurrency model
 //!

@@ -1,12 +1,13 @@
 //! One tenant's hosted control loop.
 //!
-//! A [`TenantSession`] wraps one [`Controller`] with the journal that
-//! makes it durable: every input (observe tick, operator replan) is
-//! journaled write-ahead, consumed, and checkpointed, so
-//! [`resume`](TenantSession::resume) can rebuild the exact session by
-//! deterministic replay after a daemon restart. The session is the
-//! daemon's unit of concurrency — it is `Send` and lives behind one
-//! mutex per tenant, so tenants never serialize against each other.
+//! A [`TenantSession`] wraps one [`Controller`] with its journal: every
+//! input (observe tick, operator replan) is journaled write-ahead,
+//! consumed, and checkpointed, so [`resume`](TenantSession::resume) can
+//! rebuild the exact session by deterministic replay after a daemon
+//! restart (see the [`journal`](crate::journal) module for what survives
+//! which crash). The session is the daemon's unit of concurrency — it
+//! is `Send` and lives behind one mutex per tenant, so tenants never
+//! serialize against each other.
 
 use crate::cache::{CacheLookup, PlanCache};
 use crate::error::{JournalError, ServeError};
@@ -94,7 +95,7 @@ fn controller_config(config: &SessionConfig, warm_start: bool) -> ControllerConf
     }
 }
 
-/// One tenant's durable control-loop session.
+/// One tenant's journaled control-loop session.
 #[derive(Debug)]
 pub struct TenantSession {
     tenant: String,

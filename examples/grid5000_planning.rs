@@ -25,7 +25,7 @@ fn main() {
     for id in platform.nodes_on_site(orsay) {
         let node = platform.node(id).expect("id from the same platform");
         builder
-            .add_node(node.name.clone(), node.power, site)
+            .add_node(platform.name(id), node.power, site)
             .expect("names are unique");
     }
     let middleware = builder.build().expect("200 nodes");
