@@ -40,18 +40,8 @@
 use super::ModelParams;
 use crate::analysis::{Bottleneck, ThroughputReport};
 use adept_hierarchy::{DeploymentPlan, Role, Slot};
-use adept_platform::{Platform, Seconds, SiteId};
+use adept_platform::{Platform, Seconds};
 use adept_workload::ServiceSpec;
-
-/// Site of a plan slot's node.
-fn site_of(platform: &Platform, plan: &DeploymentPlan, slot: Slot) -> SiteId {
-    platform
-        .node(plan.node(slot))
-        // audit: allow(unwrap, "documented invariant: the caller validated
-        // this plan against the platform")
-        .expect("plan validated against the platform")
-        .site
-}
 
 /// Generalized Eq. 1+2+5: full cycle of an agent whose links may have
 /// different bandwidths. The root has no parent slot: its parent link
@@ -66,10 +56,10 @@ pub fn agent_cycle_hetero(
     slot: Slot,
 ) -> Seconds {
     let a = &params.calibration.agent;
-    let my_site = site_of(platform, plan, slot);
+    let my_site = platform.site_of(plan.node(slot));
     let parent_site = plan
         .parent(slot)
-        .map(|p| site_of(platform, plan, p))
+        .map(|p| platform.site_of(plan.node(p)))
         .unwrap_or_else(|| params.client_site.unwrap_or(my_site));
     let net = platform.network();
     let b_parent = net.bandwidth_between(my_site, parent_site);
@@ -78,7 +68,7 @@ pub fn agent_cycle_hetero(
     let mut total = a.sreq / b_parent + a.srep / b_parent + params.latency * 2.0;
     // Child links: send the request, receive the reply, per child.
     for &child in plan.children(slot) {
-        let b_child = net.bandwidth_between(my_site, site_of(platform, plan, child));
+        let b_child = net.bandwidth_between(my_site, platform.site_of(plan.node(child)));
         total += a.sreq / b_child + a.srep / b_child + params.latency * 2.0;
     }
     // Eq. 5 computation is bandwidth-independent.
@@ -95,10 +85,10 @@ pub fn server_prediction_cycle_hetero(
     slot: Slot,
 ) -> Seconds {
     let s = &params.calibration.server;
-    let my_site = site_of(platform, plan, slot);
+    let my_site = platform.site_of(plan.node(slot));
     let parent_site = plan
         .parent(slot)
-        .map(|p| site_of(platform, plan, p))
+        .map(|p| platform.site_of(plan.node(p)))
         .unwrap_or(my_site);
     let b = platform.network().bandwidth_between(my_site, parent_site);
     let power = platform.power(plan.node(slot));
@@ -126,7 +116,7 @@ pub fn service_throughput_hetero(
         let power = platform.power(plan.node(slot));
         numerator += s.wpre / service.wapp;
         denominator += power.value() / service.wapp.value();
-        let site = site_of(platform, plan, slot);
+        let site = platform.site_of(plan.node(slot));
         let b = net.bandwidth_between(site, params.client_site.unwrap_or(site));
         let transfer = s.sreq / b + s.srep / b + params.latency * 2.0;
         if transfer > worst_transfer {
@@ -192,7 +182,7 @@ mod tests {
     use crate::model::throughput;
     use adept_hierarchy::builder::star;
     use adept_platform::generator::lyon_cluster;
-    use adept_platform::{MbitRate, MflopRate, Network, NodeId, Platform};
+    use adept_platform::{MbitRate, MflopRate, Network, NodeId, Platform, SiteId};
     use adept_workload::Dgemm;
 
     fn two_site_platform(inter: f64) -> Platform {

@@ -255,8 +255,8 @@ struct SiteModel {
     /// Client site index for root parent links; `None` = each root's own
     /// site.
     client_site: Option<usize>,
-    /// `NodeId` index → site: the platform's shared
-    /// [`site_table`](Platform::site_table), filled once per catalog.
+    /// `NodeId` index → site: the platform's own site column
+    /// ([`site_table`](Platform::site_table)), shared, never copied.
     node_site: Arc<[SiteId]>,
 }
 

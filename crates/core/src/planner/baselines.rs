@@ -108,8 +108,8 @@ mod tests {
             )
             .unwrap();
         let root_power = platform.power(plan.node(plan.root()));
-        for n in platform.nodes() {
-            assert!(n.power.value() <= root_power.value() + 1e-9);
+        for w in platform.powers() {
+            assert!(w.value() <= root_power.value() + 1e-9);
         }
         assert_eq!(plan.server_count(), 9);
     }

@@ -150,9 +150,9 @@ impl HeuristicPlanner {
         let sch_pow = batch::sch_pow_shared_degree(params, d);
         NodeRanking::new(
             platform
-                .nodes()
-                .iter()
-                .map(|r| (batch::descending_key(sch_pow(r.power.value())), r.id))
+                .ids()
+                .zip(platform.powers())
+                .map(|(id, w)| (batch::descending_key(sch_pow(w.value())), id))
                 .collect(),
         )
     }
@@ -238,9 +238,8 @@ mod tests {
     fn sorted_nodes(params: &ModelParams, platform: &Platform) -> Vec<NodeId> {
         let d = platform.node_count().saturating_sub(1).max(1);
         let mut keyed: Vec<(f64, NodeId)> = platform
-            .nodes()
-            .iter()
-            .map(|r| (sch_pow(params, r.power, d), r.id))
+            .ids()
+            .map(|id| (sch_pow(params, platform.power(id), d), id))
             .collect();
         batch::sort_rate_desc_id_asc(&mut keyed);
         keyed.into_iter().map(|(_, id)| id).collect()

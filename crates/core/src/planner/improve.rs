@@ -183,9 +183,7 @@ fn rebalance_by(
         platform.sort_by_power_desc(&mut agents);
         let agent_set: HashSet<NodeId> = agents.iter().copied().collect();
         let mut pool: Vec<NodeId> = platform
-            .nodes()
-            .iter()
-            .map(|r| r.id)
+            .ids()
             .filter(|id| !agent_set.contains(id))
             .collect();
         platform.sort_by_power_desc(&mut pool);

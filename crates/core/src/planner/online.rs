@@ -1428,9 +1428,9 @@ mod tests {
             let platform = b.build().expect("every site holds a node");
             let full_site = (rng.gen_range(0..3usize) == 0).then(|| rng.gen_range(0..sites));
             let used = platform
-                .nodes()
+                .site_table()
                 .iter()
-                .map(|n| full_site == Some(n.site.index()) || rng.gen_range(0..2usize) == 0)
+                .map(|site| full_site == Some(site.index()) || rng.gen_range(0..2usize) == 0)
                 .collect();
             let ops = (0..rng.gen_range(0..49usize))
                 .map(|_| (rng.gen_range(0..4usize), rng.gen_range(0..1usize << 16)))
@@ -1468,7 +1468,7 @@ mod tests {
             // The working plan: the input plan's nodes, plus every node
             // taken and not freed since.
             let mut plan: Vec<NodeId> =
-                platform.nodes().iter().map(|n| n.id).filter(|&id| used(id)).collect();
+                platform.ids().filter(|&id| used(id)).collect();
             let mut cursor = SpareCursor::new(platform);
             for &(op, pick) in &c.ops {
                 let strongest = cursor.strongest(platform, used);

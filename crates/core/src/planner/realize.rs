@@ -650,7 +650,7 @@ mod tests {
         ];
         for platform in &platforms {
             let params = crate::model::ModelParams::from_platform(platform);
-            let all: Vec<NodeId> = platform.nodes().iter().map(|r| r.id).collect();
+            let all: Vec<NodeId> = platform.ids().collect();
             for k in 1..=8 {
                 for agents in [&all[..k], &all[all.len() - k..]] {
                     let powers: Vec<f64> =

@@ -58,7 +58,7 @@ impl Planner for RoundRobinPlanner {
         // `nodes_per_agent` is an agent, the rest are servers. Capped at
         // n/2 so every agent is guaranteed a child.
         let agent_count = n.div_ceil(self.nodes_per_agent).clamp(1, n / 2);
-        let nodes: Vec<_> = platform.nodes().iter().map(|r| r.id).collect();
+        let nodes: Vec<_> = platform.ids().collect();
         let mut plan = DeploymentPlan::with_root(nodes[0]);
         let mut agents: Vec<Slot> = vec![plan.root()];
         // First pass: agents attach round-robin under earlier agents.

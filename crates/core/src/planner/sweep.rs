@@ -311,7 +311,7 @@ impl SweepPlanner {
         platform: &Platform,
         wapp_cap: f64,
     ) -> Vec<NodeId> {
-        let mut ranking = platform.rank_by_power(platform.nodes().iter().map(|r| r.id));
+        let mut ranking = platform.rank_by_power(platform.ids());
         self.coarsen_nodes(params, platform, &mut ranking, wapp_cap)
             .to_vec()
     }
@@ -643,8 +643,8 @@ impl SweepPlanner {
     /// since phase 2 takes spares from them.
     fn site_lists(platform: &Platform) -> Vec<Vec<NodeId>> {
         let mut lists = vec![Vec::new(); platform.site_count()];
-        for node in platform.nodes() {
-            lists[node.site.index()].push(node.id);
+        for (id, site) in platform.ids().zip(platform.site_table().iter()) {
+            lists[site.index()].push(id);
         }
         lists
     }
@@ -1054,9 +1054,9 @@ mod tests {
         // Strongest node must be the root.
         let root_power = platform.power(plan.node(plan.root()));
         let max_power = platform
-            .nodes()
+            .powers()
             .iter()
-            .map(|n| n.power.value())
+            .map(|w| w.value())
             .fold(0.0f64, f64::max);
         assert!((root_power.value() - max_power).abs() < 1e-9);
     }
@@ -1126,8 +1126,7 @@ mod tests {
                     b.add_site(s.name.clone());
                 }
                 for &id in &on_site {
-                    let node = platform.node(id).unwrap();
-                    b.add_node(platform.name(id), node.power, node.site)
+                    b.add_node(platform.name(id), platform.power(id), site)
                         .unwrap();
                 }
                 let single = b.build().unwrap();

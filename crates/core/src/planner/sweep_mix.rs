@@ -1661,8 +1661,7 @@ mod tests {
                 b.add_site(s.name.clone());
             }
             for &id in &platform.nodes_on_site(site) {
-                let node = platform.node(id).unwrap();
-                b.add_node(platform.name(id), node.power, node.site)
+                b.add_node(platform.name(id), platform.power(id), site)
                     .unwrap();
             }
             let single = b.build().unwrap();

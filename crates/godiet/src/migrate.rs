@@ -385,7 +385,7 @@ impl GoDiet {
             .map_err(DeployError::ScriptMismatch)?;
         for s in script.target.slots() {
             let node = script.target.node(s);
-            if platform.node(node).is_err() {
+            if node.index() >= platform.node_count() {
                 return Err(DeployError::InvalidPlan(format!(
                     "target node {node} is not on the platform"
                 )));

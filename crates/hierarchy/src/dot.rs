@@ -13,7 +13,7 @@ pub fn to_dot(plan: &DeploymentPlan, platform: Option<&Platform>) -> String {
     out.push_str("digraph deployment {\n  rankdir=TB;\n  node [fontsize=10];\n");
     for slot in plan.slots() {
         let node = plan.node(slot);
-        let label = match platform.filter(|p| p.node(node).is_ok()) {
+        let label = match platform.filter(|p| node.index() < p.node_count()) {
             Some(p) => format!("{}\\n{} MFlop/s", p.name(node), p.power(node).value()),
             None => format!("{node}"),
         };

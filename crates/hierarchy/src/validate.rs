@@ -178,7 +178,7 @@ pub fn validate_on(plan: &DeploymentPlan, platform: &Platform) -> Vec<Validation
     let mut errors = validate(plan);
     for slot in plan.slots() {
         let node = plan.node(slot);
-        if platform.node(node).is_err() {
+        if node.index() >= platform.node_count() {
             errors.push(ValidationError::NodeNotOnPlatform(node));
         }
     }

@@ -120,7 +120,7 @@ pub fn write_xml(plan: &DeploymentPlan, platform: Option<&Platform>) -> String {
     let mut nodes: Vec<NodeId> = plan.slots().map(|s| plan.node(s)).collect();
     nodes.sort_unstable();
     for id in &nodes {
-        match platform.filter(|p| p.node(*id).is_ok()) {
+        match platform.filter(|p| id.index() < p.node_count()) {
             Some(p) => out.push_str(&format!(
                 "    <node id=\"{}\" name=\"{}\" power=\"{}\"/>\n",
                 id.0,

@@ -163,13 +163,13 @@ pub struct Middleware {
     plan: CompiledPlan,
     /// Plan slot per platform node index (`u32::MAX` for unused nodes).
     node_to_slot: Vec<u32>,
-    /// Node power in MFlop/s, by platform node index.
-    powers: Vec<f64>,
+    /// Node power in MFlop/s, by plan slot.
+    slot_powers: Vec<f64>,
     /// Uniform (scalarized) bandwidth in Mb/s, used for client links on
     /// homogeneous networks.
     bandwidth: f64,
-    /// Site of each platform node (for per-link bandwidths).
-    sites: Vec<adept_platform::SiteId>,
+    /// Site of each platform node (for per-link bandwidths), shared with the platform.
+    sites: std::sync::Arc<[adept_platform::SiteId]>,
     /// The network model (per-link bandwidth lookups).
     network: adept_platform::Network,
     /// Wire latency per message (seconds).
@@ -265,12 +265,13 @@ impl Middleware {
     ) -> Self {
         config.validate().expect("invalid simulator configuration");
         let compiled = CompiledPlan::compile(plan);
-        let powers: Vec<f64> = platform.nodes().iter().map(|r| r.power.value()).collect();
+        let mut slot_powers = Vec::with_capacity(compiled.node.len());
         for &n in &compiled.node {
             assert!(
-                (n as usize) < powers.len(),
+                (n as usize) < platform.node_count(),
                 "plan references node n{n} outside the platform"
             );
+            slot_powers.push(platform.power(adept_platform::NodeId(n)).value());
         }
         let cal = &config.calibration;
         let wapps: Vec<f64> = mix.services().iter().map(|s| s.wapp.value()).collect();
@@ -321,16 +322,15 @@ impl Middleware {
             hosted.iter().all(|&h| h > 0),
             "every mix service needs at least one server, got {hosted:?}"
         );
-        let mut node_to_slot = vec![u32::MAX; powers.len()];
+        let mut node_to_slot = vec![u32::MAX; platform.node_count()];
         for (slot, &node) in compiled.node.iter().enumerate() {
             node_to_slot[node as usize] = slot as u32;
         }
-        let sites: Vec<adept_platform::SiteId> = platform.nodes().iter().map(|r| r.site).collect();
         Self {
             plan: compiled,
             node_to_slot,
             bandwidth: platform.bandwidth().value(),
-            sites,
+            sites: platform.site_table().clone(),
             network: platform.network().clone(),
             latency: platform.network().latency().value(),
             config,
@@ -340,10 +340,10 @@ impl Middleware {
             slot_service,
             think_time: SimDuration::from_seconds(think_time.value().max(0.0)),
             open_loop: false,
-            timelines: Timelines::new(powers.len()),
-            service_lanes: Timelines::new(powers.len()),
-            per_server_completions: vec![0; powers.len()],
-            powers,
+            timelines: Timelines::new(platform.node_count()),
+            service_lanes: Timelines::new(platform.node_count()),
+            per_server_completions: vec![0; platform.node_count()],
+            slot_powers,
             requests: Vec::new(),
             free: Vec::new(),
             clients: 0,
@@ -391,7 +391,7 @@ impl Middleware {
     }
 
     fn power_of_slot(&self, slot: u32) -> f64 {
-        self.powers[self.plan.node[slot as usize] as usize]
+        self.slot_powers[slot as usize]
     }
 
     /// Transfer duration of `mb` megabits over a link of `bw` Mb/s plus
@@ -682,7 +682,7 @@ impl Middleware {
             // near-equal candidates) exhibits.
             (Role::Server, Msg::SchedRequest { req }) => {
                 let node = self.plan.node[s] as usize;
-                let power = self.powers[node];
+                let power = self.slot_powers[s];
                 let wanted = self.requests[req as usize].service;
                 if self.slot_service[s] != wanted {
                     // This server does not host the requested service: it

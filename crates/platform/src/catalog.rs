@@ -210,10 +210,7 @@ mod tests {
     #[test]
     fn multi_site_names_are_qualified() {
         let p = multi_site(&["rennes", "toulouse"], MbitRate(50.0)).unwrap();
-        assert!(p.nodes().iter().any(|n| p.name(n.id).ends_with(".rennes")));
-        assert!(p
-            .nodes()
-            .iter()
-            .any(|n| p.name(n.id).ends_with(".toulouse")));
+        assert!(p.ids().any(|id| p.name(id).ends_with(".rennes")));
+        assert!(p.ids().any(|id| p.name(id).ends_with(".toulouse")));
     }
 }

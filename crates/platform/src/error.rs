@@ -1,13 +1,11 @@
 //! Error type for platform construction and lookup.
 
-use crate::resource::{NodeId, SiteId};
+use crate::resource::SiteId;
 use std::fmt;
 
 /// Errors raised while building or querying a [`Platform`](crate::Platform).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlatformError {
-    /// A node id was referenced that does not exist in the platform.
-    UnknownNode(NodeId),
     /// A site id was referenced that does not exist in the platform.
     UnknownSite(SiteId),
     /// A named catalog site does not exist.
@@ -28,7 +26,6 @@ pub enum PlatformError {
 impl fmt::Display for PlatformError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlatformError::UnknownNode(id) => write!(f, "unknown node {id}"),
             PlatformError::UnknownSite(id) => write!(f, "unknown site {id}"),
             PlatformError::UnknownSiteName(name) => {
                 write!(f, "unknown Grid'5000 site {name:?}")
@@ -57,8 +54,8 @@ mod tests {
     #[test]
     fn display_messages() {
         assert_eq!(
-            PlatformError::UnknownNode(NodeId(4)).to_string(),
-            "unknown node n4"
+            PlatformError::UnknownSite(SiteId(4)).to_string(),
+            "unknown site site4"
         );
         assert_eq!(
             PlatformError::NotEnoughNodes {

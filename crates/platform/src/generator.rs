@@ -346,7 +346,7 @@ mod tests {
         let p = lyon_cluster(8);
         assert_eq!(p.node_count(), 8);
         assert!(p.is_homogeneous_compute());
-        assert_eq!(p.nodes()[0].power, MflopRate(400.0));
+        assert_eq!(p.powers()[0], MflopRate(400.0));
     }
 
     #[test]
@@ -368,11 +368,11 @@ mod tests {
         assert_eq!(p.node_count(), 100);
         assert!(!p.is_homogeneous_compute());
         let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
-        for n in p.nodes() {
-            lo = lo.min(n.power.value());
-            hi = hi.max(n.power.value());
+        for w in p.powers().iter().map(|w| w.value()) {
+            lo = lo.min(w);
+            hi = hi.max(w);
             // base/(1+k), k in 0..=3 → power in {100, 133.3, 200, 400}.
-            assert!(n.power.value() >= 100.0 - 1e-9 && n.power.value() <= 400.0 + 1e-9);
+            assert!((100.0 - 1e-9..=400.0 + 1e-9).contains(&w));
         }
         assert!(hi > lo, "must actually be heterogeneous");
         assert!((hi - 400.0).abs() < 1e-9, "some nodes stay unloaded");
@@ -397,8 +397,8 @@ mod tests {
     #[test]
     fn uniform_random_cluster_respects_bounds() {
         let p = uniform_random_cluster("u", 50, MflopRate(10.0), MflopRate(20.0), 1);
-        for n in p.nodes() {
-            assert!(n.power.value() >= 10.0 && n.power.value() <= 20.0);
+        for w in p.powers() {
+            assert!(w.value() >= 10.0 && w.value() <= 20.0);
         }
     }
 

@@ -11,7 +11,7 @@
 //!
 //! * strongly-typed units ([`units`]) so that MFlop, MFlop/s, Mb and Mb/s
 //!   cannot be mixed up in the model equations;
-//! * resource and site descriptions ([`resource`]);
+//! * node and site identifiers, and sites ([`resource`]);
 //! * the network model ([`network`]), homogeneous as in the paper plus a
 //!   per-link extension corresponding to the paper's *future work* section;
 //! * the aggregate [`platform::Platform`] type, the lazily sorted
@@ -50,6 +50,6 @@ pub use generator::BackgroundLoad;
 pub use network::Network;
 pub use platform::Platform;
 pub use ranking::NodeRanking;
-pub use resource::{NodeId, Resource, Site, SiteId};
+pub use resource::{NodeId, Site, SiteId};
 pub use spare::SpareCursor;
 pub use units::{Mbit, MbitRate, Mflop, MflopRate, Seconds};

@@ -1,10 +1,10 @@
-//! The aggregate platform: resources + sites + network.
+//! The aggregate platform: node columns + sites + network.
 
 use crate::error::PlatformError;
 use crate::names::{HostNames, WriteName};
 use crate::network::Network;
 use crate::ranking::{self, NodeRanking};
-use crate::resource::{NodeId, Resource, Site, SiteId};
+use crate::resource::{NodeId, Site, SiteId};
 use crate::spare::SiteOrder;
 use crate::units::{MbitRate, MflopRate};
 use std::collections::hash_map::RandomState;
@@ -12,13 +12,18 @@ use std::collections::HashSet;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 
-/// A deployment target: a set of heterogeneous resources with a network
+/// A deployment target: a set of heterogeneous nodes with a network
 /// model, as in the paper's Section 3.
 ///
-/// Node ids are dense (`0..node_count()`), assigned in insertion order.
+/// Node ids are dense (`0..node_count()`), assigned in insertion order. A
+/// node is its entry in three columns indexed by id: its power `w_i`, its
+/// site and its host name.
 #[derive(Debug, Clone)]
 pub struct Platform {
-    nodes: Vec<Resource>,
+    /// Every node's computing power, indexed by node id.
+    powers: Vec<MflopRate>,
+    /// Every node's site, indexed by node id: [`site_table`](Platform::site_table).
+    node_sites: Arc<[SiteId]>,
     /// Every node's host name, indexed by node id.
     names: HostNames,
     sites: Vec<Site>,
@@ -27,20 +32,18 @@ pub struct Platform {
     /// A built platform has no mutator, so the stored value never goes
     /// stale, and a clone may carry it.
     fingerprint: OnceLock<u64>,
-    /// [`site_table`](Platform::site_table), stored by its first call on
-    /// the same terms as `fingerprint`.
-    site_table: OnceLock<Arc<[SiteId]>>,
     /// [`site_order`](Platform::site_order), stored by its first call on
     /// the same terms as `fingerprint`.
     site_order: OnceLock<SiteOrder>,
 }
 
-/// Structural equality over nodes, host names, sites and network. The stored
-/// fingerprint, site table and site order are left out, so a hashed
-/// platform equals an unhashed copy of itself.
+/// Structural equality over the node columns, sites and network. The
+/// stored fingerprint and site order are left out, so a hashed platform
+/// equals an unhashed copy of itself.
 impl PartialEq for Platform {
     fn eq(&self, other: &Self) -> bool {
-        self.nodes == other.nodes
+        self.powers == other.powers
+            && self.node_sites == other.node_sites
             && self.names == other.names
             && self.sites == other.sites
             && self.network == other.network
@@ -59,8 +62,8 @@ impl PartialEq for Platform {
 /// batch of one, and the generators and the catalog loader add a whole
 /// platform as one batch. A batch takes two passes:
 ///
-/// 1. push every node (checking its site, and its power through
-///    [`Resource::new`]), writing each name into the buffer;
+/// 1. push every node's power and site (checking both), writing each
+///    name into the buffer;
 /// 2. hash the batch's names into one vector, size the set for the batch
 ///    once, then insert the hashes back to back.
 ///
@@ -70,13 +73,14 @@ impl PartialEq for Platform {
 /// every key each time it grows. The same 10⁶ inserts back to back over
 /// precomputed hashes, into a set sized once, took 26–42 ms there. Sizing
 /// once also never holds an old and a new table at the same time. A
-/// process that only generates the 4 × 250,000 grid peaks at ~63 MiB, of
-/// which the built platform holds ~38 MiB: 16 MB of nodes, ~14 MB of
-/// names and 8 MB of name offsets. With a `String` per node and an index
-/// of hash → node id it peaked at ~112 MiB and kept ~71 MiB.
+/// process that only generates the 4 × 250,000 grid peaks at ~58 MiB, of
+/// which the built platform holds ~32 MiB: 8 MB of powers, 2 MB of sites,
+/// ~14 MB of names and 8 MB of name offsets (~63 and ~38 MiB with a
+/// 16-byte record per node, ~112 and ~71 MiB with a `String` per node).
 #[derive(Debug)]
 pub struct PlatformBuilder {
-    nodes: Vec<Resource>,
+    powers: Vec<MflopRate>,
+    node_sites: Vec<SiteId>,
     names: HostNames,
     sites: Vec<Site>,
     /// The randomly keyed SipHash every host name is hashed with, so no
@@ -120,7 +124,8 @@ impl PlatformBuilder {
     /// Starts a platform with the given network model.
     pub fn new(network: Network) -> Self {
         Self {
-            nodes: Vec::new(),
+            powers: Vec::new(),
+            node_sites: Vec::new(),
             names: HostNames::default(),
             sites: Vec::new(),
             hasher: RandomState::new(),
@@ -130,8 +135,17 @@ impl PlatformBuilder {
     }
 
     /// Registers a site and returns its id.
+    ///
+    /// # Panics
+    /// Panics on the 65,537th site: a [`SiteId`] holds 16 bits, so that
+    /// site's id would alias site 0's.
     pub fn add_site(&mut self, name: impl Into<String>) -> SiteId {
-        let id = SiteId(self.sites.len() as u16);
+        let index = self.sites.len();
+        assert!(
+            index <= usize::from(u16::MAX),
+            "a platform holds at most 65,536 sites"
+        );
+        let id = SiteId(index as u16);
         self.sites.push(Site {
             id,
             name: name.into(),
@@ -146,15 +160,16 @@ impl PlatformBuilder {
     /// used, or [`PlatformError::UnknownSite`] for an unregistered site.
     ///
     /// # Panics
-    /// Panics if `power` is not positive and finite, as
-    /// [`Resource::new`] does.
+    /// Panics if `power` is not positive and finite: a node with no
+    /// computing power cannot appear in any of the paper's formulas (they
+    /// divide by `w_i`).
     pub fn add_node(
         &mut self,
         name: impl AsRef<str>,
         power: MflopRate,
         site: SiteId,
     ) -> Result<NodeId, PlatformError> {
-        let id = NodeId(self.nodes.len() as u32);
+        let id = NodeId(self.powers.len() as u32);
         self.add_nodes(std::iter::once((name.as_ref(), power, site)))?;
         Ok(id)
     }
@@ -170,16 +185,17 @@ impl PlatformBuilder {
     /// the call.
     ///
     /// # Panics
-    /// Panics, as [`Resource::new`] does, on a node pushed with a power
-    /// that is not positive and finite. Every node up to the first
-    /// unknown site is pushed before any name is checked.
+    /// Panics, as [`add_node`](PlatformBuilder::add_node) does, on a node
+    /// pushed with a power that is not positive and finite. Every node up
+    /// to the first unknown site is pushed before any name is checked.
     pub(crate) fn add_nodes<N: WriteName>(
         &mut self,
         batch: impl IntoIterator<Item = NodeSpec<N>>,
     ) -> Result<(), PlatformError> {
-        let start = self.nodes.len();
+        let start = self.powers.len();
         let batch = batch.into_iter();
-        self.nodes.reserve(batch.size_hint().0);
+        self.powers.reserve(batch.size_hint().0);
+        self.node_sites.reserve(batch.size_hint().0);
         self.names.reserve(batch.size_hint().0);
         let mut refusal = None;
         for (name, power, site) in batch {
@@ -187,8 +203,12 @@ impl PlatformBuilder {
                 refusal = Some(PlatformError::UnknownSite(site));
                 break;
             }
-            let id = NodeId(self.nodes.len() as u32);
-            self.nodes.push(Resource::new(id, power, site));
+            assert!(
+                power.value().is_finite() && power.value() > 0.0,
+                "resource power must be positive and finite, got {power}"
+            );
+            self.powers.push(power);
+            self.node_sites.push(site);
             self.names.push(name);
         }
         let hasher = &self.hasher;
@@ -230,7 +250,8 @@ impl PlatformBuilder {
                 self.keys.remove(hash);
             }
         }
-        self.nodes.truncate(start);
+        self.powers.truncate(start);
+        self.node_sites.truncate(start);
         self.names.truncate(start);
         Err(refusal)
     }
@@ -240,16 +261,16 @@ impl PlatformBuilder {
     /// # Errors
     /// Returns [`PlatformError::Empty`] if no node was added.
     pub fn build(self) -> Result<Platform, PlatformError> {
-        if self.nodes.is_empty() {
+        if self.powers.is_empty() {
             return Err(PlatformError::Empty);
         }
         Ok(Platform {
-            nodes: self.nodes,
+            powers: self.powers,
+            node_sites: self.node_sites.into(),
             names: self.names,
             sites: self.sites,
             network: self.network,
             fingerprint: OnceLock::new(),
-            site_table: OnceLock::new(),
             site_order: OnceLock::new(),
         })
     }
@@ -264,12 +285,18 @@ impl Platform {
     /// Number of nodes (the paper's `n_nodes` when all are offered to the
     /// planner).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.powers.len()
     }
 
-    /// All nodes, in id order.
-    pub fn nodes(&self) -> &[Resource] {
-        &self.nodes
+    /// Every node id, in id order: `NodeId(0)` to
+    /// `NodeId(node_count() - 1)`.
+    pub fn ids(&self) -> impl ExactSizeIterator<Item = NodeId> {
+        (0..self.powers.len() as u32).map(NodeId)
+    }
+
+    /// Every node's computing power `w_i`, indexed by node id.
+    pub fn powers(&self) -> &[MflopRate] {
+        &self.powers
     }
 
     /// All sites, in id order.
@@ -299,22 +326,12 @@ impl Platform {
     /// Panics on an unknown id; planners only hold ids handed out by this
     /// platform.
     pub fn site_of(&self, id: NodeId) -> SiteId {
-        self.nodes[id.index()].site
+        self.node_sites[id.index()]
     }
 
     /// The network model.
     pub fn network(&self) -> &Network {
         &self.network
-    }
-
-    /// Looks up a node.
-    ///
-    /// # Errors
-    /// Returns [`PlatformError::UnknownNode`] for an out-of-range id.
-    pub fn node(&self, id: NodeId) -> Result<&Resource, PlatformError> {
-        self.nodes
-            .get(id.index())
-            .ok_or(PlatformError::UnknownNode(id))
     }
 
     /// Computing power `w_i` of a node.
@@ -323,7 +340,7 @@ impl Platform {
     /// Panics on an unknown id; planners only hold ids handed out by this
     /// platform.
     pub fn power(&self, id: NodeId) -> MflopRate {
-        self.nodes[id.index()].power
+        self.powers[id.index()]
     }
 
     /// The uniform bandwidth `B` used by the paper's formulas.
@@ -335,7 +352,7 @@ impl Platform {
     /// for determinism ([`sort_by_power_desc`](Platform::sort_by_power_desc)
     /// over every node). Useful to heuristics and reporting.
     pub fn ids_by_power_desc(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self.nodes.iter().map(|n| n.id).collect();
+        let mut ids: Vec<NodeId> = self.ids().collect();
         self.sort_by_power_desc(&mut ids);
         ids
     }
@@ -378,18 +395,9 @@ impl Platform {
         (self.power(id).value().to_bits(), id)
     }
 
-    /// Total computing power of the platform (Σ w_i).
-    pub fn total_power(&self) -> MflopRate {
-        MflopRate(self.nodes.iter().map(|n| n.power.value()).sum())
-    }
-
     /// Returns the ids of nodes on a given site.
     pub fn nodes_on_site(&self, site: SiteId) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| n.site == site)
-            .map(|n| n.id)
-            .collect()
+        self.ids().filter(|&id| self.site_of(id) == site).collect()
     }
 
     /// A stable structural fingerprint: every node (name, power, site),
@@ -414,15 +422,12 @@ impl Platform {
     /// [`site_of`](Platform::site_of)`(NodeId(i))`. The site-aware
     /// incremental engine looks sites up here on every delta.
     ///
-    /// The first call fills the table (one pass over the catalog, 2 B per
-    /// node: ~4 ms at 10⁶); later calls, on this platform or a clone of
-    /// it, return the same shared allocation, so every engine built on a
-    /// catalog shares one table. A built platform has no mutator, so the
-    /// table never goes stale. Equality ignores it, as it ignores the
-    /// fingerprint.
+    /// This is the platform's own site column (2 B per node), made once by
+    /// [`build`](PlatformBuilder::build): every call, on this platform or
+    /// a clone of it, returns the same shared allocation, so every engine
+    /// built on a catalog shares it and none copies it.
     pub fn site_table(&self) -> &Arc<[SiteId]> {
-        self.site_table
-            .get_or_init(|| self.nodes.iter().map(|n| n.site).collect())
+        &self.node_sites
     }
 
     /// Every node id grouped by site, each site's group in
@@ -433,7 +438,7 @@ impl Platform {
     /// The first call fills it (one sort of n keys, 4 B per node:
     /// ~0.3 ms at n = 10⁴, ~55 ms at 10⁶); later calls, on this platform or a clone
     /// of it, return the stored order, on the same terms as the
-    /// fingerprint and the site table. Only a spare-node read fills it:
+    /// fingerprint. Only a spare-node read fills it:
     /// building or generating a platform never does, and the planners
     /// read a [`NodeRanking`] instead, sorted only as deep as they read
     /// it.
@@ -463,11 +468,12 @@ impl Platform {
             }
         }
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-        h.u64(self.nodes.len() as u64);
-        for (n, name) in self.nodes.iter().zip(self.names.iter_from(0)) {
+        h.u64(self.powers.len() as u64);
+        let nodes = self.powers.iter().zip(self.node_sites.iter());
+        for ((power, site), name) in nodes.zip(self.names.iter_from(0)) {
             h.str(name);
-            h.f64(n.power.value());
-            h.u64(u64::from(n.site.0));
+            h.f64(power.value());
+            h.u64(u64::from(site.0));
         }
         h.u64(self.sites.len() as u64);
         for s in &self.sites {
@@ -499,10 +505,10 @@ impl Platform {
     /// True if all nodes have the same power (homogeneous cluster), with a
     /// relative tolerance of 1e-9.
     pub fn is_homogeneous_compute(&self) -> bool {
-        let first = self.nodes[0].power.value();
-        self.nodes
+        let first = self.powers[0].value();
+        self.powers
             .iter()
-            .all(|n| (n.power.value() - first).abs() <= first.abs() * 1e-9)
+            .all(|w| (w.value() - first).abs() <= first.abs() * 1e-9)
     }
 
     /// Restrict the platform to the `k` most powerful nodes, preserving the
@@ -512,33 +518,28 @@ impl Platform {
     /// [`PlatformError::NotEnoughNodes`] if `k > node_count()`,
     /// [`PlatformError::Empty`] if `k == 0`.
     pub fn take_most_powerful(&self, k: usize) -> Result<Platform, PlatformError> {
-        if k > self.nodes.len() {
+        if k > self.node_count() {
             return Err(PlatformError::NotEnoughNodes {
                 requested: k,
-                available: self.nodes.len(),
+                available: self.node_count(),
             });
         }
         if k == 0 {
             return Err(PlatformError::Empty);
         }
-        let ids = self.ids_by_power_desc();
-        let mut nodes = Vec::with_capacity(k);
+        let ids = &self.ids_by_power_desc()[..k];
         let mut names = HostNames::default();
         names.reserve(k);
-        for (new_idx, id) in ids.into_iter().take(k).enumerate() {
-            nodes.push(Resource {
-                id: NodeId(new_idx as u32),
-                ..self.nodes[id.index()]
-            });
+        for &id in ids {
             names.push(self.name(id));
         }
         Ok(Platform {
-            nodes,
+            powers: ids.iter().map(|&id| self.power(id)).collect(),
+            node_sites: ids.iter().map(|&id| self.site_of(id)).collect(),
             names,
             sites: self.sites.clone(),
             network: self.network.clone(),
             fingerprint: OnceLock::new(),
-            site_table: OnceLock::new(),
             site_order: OnceLock::new(),
         })
     }
@@ -563,9 +564,39 @@ mod tests {
     fn builder_assigns_dense_ids() {
         let p = sample();
         assert_eq!(p.node_count(), 3);
-        for (i, n) in p.nodes().iter().enumerate() {
-            assert_eq!(n.id.index(), i);
+        assert!(p.ids().eq([NodeId(0), NodeId(1), NodeId(2)]));
+        assert_eq!(
+            p.powers(),
+            [MflopRate(100.0), MflopRate(300.0), MflopRate(200.0)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "power must be positive")]
+    fn zero_power_rejected() {
+        let mut b = Platform::builder(Network::homogeneous(MbitRate(1.0)));
+        let s = b.add_site("x");
+        let _ = b.add_node("a", MflopRate(0.0), s);
+    }
+
+    #[test]
+    #[should_panic(expected = "power must be positive")]
+    fn nan_power_rejected() {
+        let mut b = Platform::builder(Network::homogeneous(MbitRate(1.0)));
+        let s = b.add_site("x");
+        let _ = b.add_node("a", MflopRate(f64::NAN), s);
+    }
+
+    /// A site id holds 16 bits: the 65,536th site is the last, and the
+    /// next one panics rather than alias site 0.
+    #[test]
+    #[should_panic(expected = "a platform holds at most 65,536 sites")]
+    fn the_site_past_u16_max_panics() {
+        let mut b = Platform::builder(Network::homogeneous(MbitRate(1.0)));
+        for i in 0..=u16::MAX {
+            assert_eq!(b.add_site(""), SiteId(i));
         }
+        b.add_site("");
     }
 
     #[test]
@@ -599,9 +630,8 @@ mod tests {
             accept(&mut b, format!("{name}/after"));
         }
         let p = b.build().unwrap();
-        let built: Vec<&str> = p.nodes().iter().map(|n| p.name(n.id)).collect();
+        let built: Vec<&str> = p.ids().map(|id| p.name(id)).collect();
         assert_eq!(built, accepted);
-        assert!(p.nodes().iter().enumerate().all(|(i, n)| n.id.index() == i));
     }
 
     #[test]
@@ -635,11 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn total_power_sums() {
-        assert_eq!(sample().total_power(), MflopRate(600.0));
-    }
-
-    #[test]
     fn homogeneity_detection() {
         assert!(!sample().is_homogeneous_compute());
         let mut b = Platform::builder(Network::homogeneous(MbitRate(1.0)));
@@ -655,9 +680,9 @@ mod tests {
         let p = sample().take_most_powerful(2).unwrap();
         assert_eq!(p.node_count(), 2);
         assert_eq!(p.name(NodeId(0)), "b");
-        assert_eq!(p.nodes()[0].id, NodeId(0));
         assert_eq!(p.name(NodeId(1)), "c");
-        assert_eq!(p.nodes()[1].id, NodeId(1));
+        assert_eq!(p.powers(), [MflopRate(300.0), MflopRate(200.0)]);
+        assert_eq!(**p.site_table(), [SiteId(0), SiteId(0)]);
     }
 
     #[test]
@@ -698,11 +723,13 @@ mod tests {
             MbitRate(10.0),
             5,
         );
-        let unfilled = p.clone();
+        // The table is the built platform's own column, not a copy
+        // filled on first use: a clone made before any call shares it.
+        let early = p.clone();
         let table = p.site_table();
         assert_eq!(table.len(), p.node_count());
-        for node in p.nodes() {
-            assert_eq!(table[node.id.index()], p.site_of(node.id), "{}", node.id);
+        for id in p.ids() {
+            assert_eq!(table[id.index()], p.site_of(id), "{id}");
         }
         assert_eq!(
             table
@@ -712,9 +739,13 @@ mod tests {
             3,
             "every site appears"
         );
+        assert!(
+            Arc::ptr_eq(table, early.site_table()),
+            "clone before a call"
+        );
         assert!(Arc::ptr_eq(table, p.site_table()), "second call");
         assert!(Arc::ptr_eq(table, p.clone().site_table()), "clone");
-        assert!(p == unfilled, "a filled table equals an unfilled one");
+        assert_eq!(Arc::strong_count(table), 2, "one allocation, two holders");
     }
 
     #[test]
@@ -753,15 +784,21 @@ mod tests {
         }
     }
 
-    /// The builder's state as the batch path may change it: nodes, the
-    /// name buffer, sites and the key set (sorted, since the set's order
-    /// is arbitrary).
-    type BuilderState = (Vec<Resource>, HostNames, Vec<Site>, Vec<u64>);
+    /// The builder's state as the batch path may change it: the power
+    /// and site columns, the name buffer, sites and the key set (sorted,
+    /// since the set's order is arbitrary).
+    type BuilderState = (Vec<MflopRate>, Vec<SiteId>, HostNames, Vec<Site>, Vec<u64>);
 
     fn state(b: &PlatformBuilder) -> BuilderState {
         let mut keys: Vec<u64> = b.keys.iter().copied().collect();
         keys.sort_unstable();
-        (b.nodes.clone(), b.names.clone(), b.sites.clone(), keys)
+        (
+            b.powers.clone(),
+            b.node_sites.clone(),
+            b.names.clone(),
+            b.sites.clone(),
+            keys,
+        )
     }
 
     /// A hash already in the set sends the builder back over the earlier
@@ -797,7 +834,7 @@ mod tests {
         );
         assert!(state(&b) == before);
         let p = b.build().unwrap();
-        let names: Vec<&str> = p.nodes().iter().map(|n| p.name(n.id)).collect();
+        let names: Vec<&str> = p.ids().map(|id| p.name(id)).collect();
         assert_eq!(names, ["a", "b", "d"]);
     }
 
@@ -907,25 +944,22 @@ mod tests {
                             names.push(name);
                         }
                     }
-                    prop_assert!(
-                        b.nodes.iter().enumerate().all(|(i, n)| n.id.index() == i),
-                        "ids stay dense"
-                    );
-                    // One name and one key per node (a 64-bit collision
-                    // is out of reach of a few hundred names): the keys
-                    // are the keyed hashes of the names.
-                    prop_assert_eq!(b.names.len(), b.nodes.len());
+                    // One power, one site, one name and one key per node
+                    // (a 64-bit collision is out of reach of a few hundred
+                    // names): the keys are the keyed hashes of the names.
+                    prop_assert_eq!(b.node_sites.len(), b.powers.len());
+                    prop_assert_eq!(b.names.len(), b.powers.len());
                     let mut hashes: Vec<u64> =
                         b.names.iter_from(0).map(|name| b.hasher.hash_one(name)).collect();
                     hashes.sort_unstable();
-                    prop_assert_eq!(&hashes, &state(&b).3);
+                    prop_assert_eq!(&hashes, &state(&b).4);
                 }
             }
             if names.is_empty() {
                 prop_assert_eq!(b.build().unwrap_err(), PlatformError::Empty);
             } else {
                 let p = b.build().unwrap();
-                let built: Vec<&str> = p.nodes().iter().map(|n| p.name(n.id)).collect();
+                let built: Vec<&str> = p.ids().map(|id| p.name(id)).collect();
                 prop_assert_eq!(built, names);
             }
         }

@@ -29,18 +29,19 @@ impl SiteOrder {
     /// one sort of n keys in all.
     pub(crate) fn new(platform: &Platform) -> Self {
         let sites = platform.site_count();
+        let node_sites = platform.site_table();
         let mut starts = vec![0u32; sites + 1];
-        for node in platform.nodes() {
-            starts[node.site.index() + 1] += 1;
+        for site in node_sites.iter() {
+            starts[site.index() + 1] += 1;
         }
         for s in 0..sites {
             starts[s + 1] += starts[s];
         }
         let mut keyed = vec![(0u64, NodeId(0)); platform.node_count()];
         let mut next = starts.clone();
-        for node in platform.nodes() {
-            let slot = &mut next[node.site.index()];
-            keyed[*slot as usize] = platform.power_key(node.id);
+        for (id, site) in platform.ids().zip(node_sites.iter()) {
+            let slot = &mut next[site.index()];
+            keyed[*slot as usize] = platform.power_key(id);
             *slot += 1;
         }
         for s in 0..sites {

@@ -23,9 +23,8 @@ fn main() {
     let mut builder = Platform::builder(platform.network().clone());
     let site = builder.add_site("orsay");
     for id in platform.nodes_on_site(orsay) {
-        let node = platform.node(id).expect("id from the same platform");
         builder
-            .add_node(platform.name(id), node.power, site)
+            .add_node(platform.name(id), platform.power(id), site)
             .expect("names are unique");
     }
     let middleware = builder.build().expect("200 nodes");

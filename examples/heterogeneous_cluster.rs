@@ -9,7 +9,7 @@
 use adept::prelude::*;
 
 fn describe(platform: &Platform, label: &str) {
-    let powers: Vec<f64> = platform.nodes().iter().map(|n| n.power.value()).collect();
+    let powers: Vec<f64> = platform.powers().iter().map(|w| w.value()).collect();
     let min = powers.iter().copied().fold(f64::INFINITY, f64::min);
     let max = powers.iter().copied().fold(0.0f64, f64::max);
     let mean = powers.iter().sum::<f64>() / powers.len() as f64;

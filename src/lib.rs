@@ -180,7 +180,7 @@ pub mod prelude {
     };
     pub use adept_platform::{
         generator, BackgroundLoad, CapacityProbe, Mbit, MbitRate, Mflop, MflopRate,
-        MiddlewareCalibration, Network, NodeId, Platform, Resource, Seconds, Site, SiteId,
+        MiddlewareCalibration, Network, NodeId, Platform, Seconds, Site, SiteId,
     };
     pub use adept_serve::{
         CacheStats, Daemon, DaemonHandle, DaemonStatus, ErrorCode, MigrationSummary, PlanCache,

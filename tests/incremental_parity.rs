@@ -112,9 +112,7 @@ impl<'a> Harness<'a> {
     fn try_attach(&mut self, rng: &mut StdRng) -> bool {
         let unused: Vec<NodeId> = self
             .platform
-            .nodes()
-            .iter()
-            .map(|r| r.id)
+            .ids()
             .filter(|&id| !self.plan.uses_node(id))
             .collect();
         if unused.is_empty() {
@@ -305,9 +303,7 @@ impl<'a> MixHarness<'a> {
     fn try_attach(&mut self, rng: &mut StdRng) -> bool {
         let unused: Vec<NodeId> = self
             .platform
-            .nodes()
-            .iter()
-            .map(|r| r.id)
+            .ids()
             .filter(|&id| !self.plan.uses_node(id))
             .collect();
         if unused.is_empty() {
